@@ -17,7 +17,7 @@ import time
 from typing import Sequence
 
 from . import convex as convex_mod
-from .constructions import optimal_construction, sigma_formula
+from .constructions import FAMILIES, optimal_construction
 from .families import (
     Chain,
     Complete,
@@ -26,17 +26,16 @@ from .families import (
     Cycle,
     Diamond,
     FamilySpec,
-    GeneralizedConvex,
     Petersen,
     RectGrid,
     Split,
     TriGrid,
     TriRectGrid,
     Wheel,
+    family_of,
     make,
     random_convex_spec,
     random_glued_blocks,
-    random_split_spec,
 )
 from .graphs import (
     DomainError,
@@ -44,7 +43,6 @@ from .graphs import (
     ParameterError,
     ResourceLimitError,
     ValidationError,
-    girth,
     graph_from_json,
     graph_to_json,
     stretch,
@@ -71,104 +69,14 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
+_PARSERS = {name: parse for fam in FAMILIES for name, parse in fam.cli.items()}
+
+
 def _parse_spec(name: str, params: Sequence[str], seed: int) -> FamilySpec:
     """Build a family spec from CLI words; random-* families consume the seed."""
-    ints = []
-    for p in params:
-        try:
-            ints.append(int(p))
-        except ValueError:
-            ints.append(None)
-
-    def all_ints(count: int | None = None) -> list[int]:
-        if any(v is None for v in ints):
-            raise ParameterError(f"family {name!r} takes integer parameters")
-        if count is not None and len(ints) != count:
-            raise ParameterError(f"family {name!r} takes {count} parameter(s)")
-        if count is None and not ints:
-            raise ParameterError(f"family {name!r} needs at least one parameter")
-        return ints  # type: ignore[return-value]
-
-    if name == "complete":
-        return Complete(all_ints(1)[0])
-    if name == "cycle":
-        return Cycle(all_ints(1)[0])
-    if name == "wheel":
-        return Wheel(all_ints(1)[0])
-    if name == "diamond":
-        return Diamond(all_ints(1)[0])
-    if name == "complete-bipartite":
-        m, n = all_ints(2)
-        return CompleteBipartite(m, n)
-    if name == "complete-multipartite":
-        return CompleteMultipartite(tuple(all_ints()))
-    if name == "petersen":
-        if params:
-            raise ParameterError("petersen takes no parameters")
-        return Petersen()
-    if name == "split":
-        if not params:
-            raise ParameterError("split needs a clique size and Y neighbor lists")
-        try:
-            k = int(params[0])
-            adjacency = tuple(
-                frozenset(int(x) for x in word.split(",")) for word in params[1:]
-            )
-        except ValueError as exc:
-            raise ParameterError(f"bad split parameters: {exc}") from exc
-        return Split(k, adjacency)
-    if name == "chain":
-        vals = all_ints()
-        if len(vals) < 3:
-            raise ParameterError("chain takes m, n, then m neighbor-set sizes")
-        return Chain(vals[0], vals[1], tuple(vals[2:]))
-    if name == "rect-grid":
-        m, n = all_ints(2)
-        return RectGrid(m, n)
-    if name == "tri-grid":
-        return TriGrid(all_ints(1)[0])
-    if name == "tri-rect-grid":
-        m, n = all_ints(2)
-        return TriRectGrid(m, n)
-    if name == "random-split":
-        if params:
-            raise ParameterError("random-split takes no parameters (use --seed)")
-        return random_split_spec(random.Random(seed))
-    if name == "random-convex":
-        if params:
-            raise ParameterError("random-convex takes no parameters (use --seed)")
-        return random_convex_spec(random.Random(seed))
-    raise ParameterError(f"unknown family {name!r}")
-
-
-def _spec_descriptor(spec: FamilySpec) -> dict:
-    if isinstance(spec, Split):
-        return {
-            "family": "split",
-            "clique_size": spec.clique_size,
-            "y_adjacency": [sorted(s) for s in spec.y_adjacency],
-        }
-    if isinstance(spec, GeneralizedConvex):
-        d = convex_mod.instance_to_json(spec.instance)
-        d["family"] = "generalized-convex"
-        return d
-    name = {
-        Complete: "complete",
-        Cycle: "cycle",
-        Wheel: "wheel",
-        Diamond: "diamond",
-        CompleteBipartite: "complete-bipartite",
-        CompleteMultipartite: "complete-multipartite",
-        Petersen: "petersen",
-        Chain: "chain",
-        RectGrid: "rect-grid",
-        TriGrid: "tri-grid",
-        TriRectGrid: "tri-rect-grid",
-    }[type(spec)]
-    out: dict = {"family": name}
-    for field_name in spec.__dataclass_fields__:
-        out[field_name] = getattr(spec, field_name)
-    return out
+    if name not in _PARSERS:
+        raise ParameterError(f"unknown family {name!r}")
+    return _PARSERS[name](name, params, seed)
 
 
 def _read_json(path: str) -> dict:
@@ -207,12 +115,13 @@ def cmd_generate(args) -> int:
 def cmd_construct(args) -> int:
     started = time.perf_counter()
     spec = _parse_spec(args.family, args.params, args.seed)
+    fam = family_of(spec)
     result = optimal_construction(spec)
     g = result.tree.host
     report = {
         "schema": 1,
         "command": "construct",
-        "family": _spec_descriptor(spec),
+        "family": {"family": fam.name, **fam.describe(spec)},
         "sigma_formula": result.sigma,
         "sigma_measured": result.certificate.stretch,
         "degenerate": result.degenerate,
@@ -222,8 +131,8 @@ def cmd_construct(args) -> int:
     }
     if g.m >= g.n:
         report["lower_bound_girth"] = lower_bound_girth(g)
-    if isinstance(spec, (RectGrid, TriGrid, TriRectGrid)):
-        report["lower_bound_level"] = stretch_lower_bound(embed_grid(spec))
+    if fam.embed is not None:
+        report["lower_bound_level"] = stretch_lower_bound(embed_grid(spec, g))
     if args.verify:
         exact = sigma_exact(g, use_pruning=not args.no_prune, max_trees=args.max_trees)
         report["sigma_exact"] = exact.sigma
@@ -280,71 +189,32 @@ def cmd_convex(args) -> int:
     return 0
 
 
-def _level_rows(spec, plane, levels) -> list[list[int]]:
-    """Face levels arranged in the printed row layout of each family."""
-    if isinstance(spec, RectGrid):
-        w = spec.n - 1
-        return [
-            [levels.level[i * w + j] for j in range(w)] for i in range(spec.m - 1)
-        ]
-    if isinstance(spec, TriGrid):
-        n = spec.n
-        position = {}
-        f = 0
-        for x in range(n + 1):
-            for y in range(n + 1 - x):
-                if x + y <= n - 1:
-                    position[(x, y, "up")] = f
-                    f += 1
-                if x + y <= n - 2:
-                    position[(x, y, "down")] = f
-                    f += 1
-        rows = []
-        for y in range(n):
-            row = []
-            for x in range(n - y):
-                row.append(levels.level[position[(x, y, "up")]])
-                if (x, y, "down") in position:
-                    row.append(levels.level[position[(x, y, "down")]])
-            rows.append(row)
-        return rows
-    if isinstance(spec, TriRectGrid):
-        w = spec.n - 1
-        rows = []
-        for y in range(spec.m - 1):
-            row = []
-            for x in range(w):
-                row.append(levels.level[2 * (y * w + x)])
-                row.append(levels.level[2 * (y * w + x) + 1])
-            rows.append(row)
-        return rows
-    return [[levels.level[f] for f in plane.bounded_faces]]
-
-
 def cmd_levels(args) -> int:
-    name = args.family
-    if name == "cube":
-        spec: RectGrid | TriGrid | TriRectGrid | Cube = Cube()
+    if args.family == "cube":
         if args.params:
             raise ParameterError("cube takes no parameters")
-        coords = None
+        spec, coords, row_of = Cube(), None, lambda label: 0
     else:
-        spec = _parse_spec(name, args.params, seed=0)
-        if not isinstance(spec, (RectGrid, TriGrid, TriRectGrid)):
-            raise ParameterError(f"no embedding for family {name!r}")
-        coords = make(spec).meta["coordinates"]
+        spec = _parse_spec(args.family, args.params, seed=0)
+        fam = family_of(spec)
+        if fam.embed is None:
+            raise ParameterError(f"no embedding for family {args.family!r}")
+        coords, row_of = make(spec).meta["coordinates"], fam.level_row
     plane = embed_grid(spec)
     levels = face_levels(plane)
     if args.dual_dot:
         print(overlay_dot(plane, coordinates=coords), end="")
         return 0
     print(f"lambda_max = {levels.lambda_max}")
-    for row in _level_rows(spec, plane, levels):
-        print(" ".join(str(v) for v in row))
+    rows: dict[int, list[int]] = {}
+    for f in plane.bounded_faces:
+        rows.setdefault(row_of(plane.labels[f]), []).append(levels.level[f])
+    for r in sorted(rows):
+        print(" ".join(str(v) for v in rows[r]))
     return 0
 
 
-def _reproduce_rows(max_trees: int):
+def _reproduce_rows():
     """The desk-scale verification matrix: (label, spec, run_exact) triples."""
     rows: list[tuple[str, FamilySpec, bool]] = []
     for n in range(3, 7):
@@ -397,15 +267,11 @@ def cmd_reproduce(args) -> int:
     print(header)
     print("-" * len(header))
     disagreements = 0
-    for label, spec, run_exact in _reproduce_rows(args.max_trees):
+    for label, spec, run_exact in _reproduce_rows():
         result = optimal_construction(spec)
         g = result.tree.host
-        girth_lb = girth(g) - 1 if g.m >= g.n else None
-        level_lb = (
-            stretch_lower_bound(embed_grid(spec))
-            if isinstance(spec, (RectGrid, TriGrid, TriRectGrid))
-            else None
-        )
+        girth_lb = lower_bound_girth(g) if g.m >= g.n else None
+        level_lb = stretch_lower_bound(embed_grid(spec, g)) if family_of(spec).embed else None
         exact_sigma = None
         if run_exact:
             exact_sigma = sigma_exact(g, max_trees=args.max_trees).sigma

@@ -39,6 +39,7 @@ from .graphs import (
     is_connected,
     make_graph,
     spanning_tree_from_pairs,
+    tree_distance,
 )
 
 
@@ -404,22 +405,8 @@ def _try_build(
         tree = spanning_tree_from_pairs(instance.graph, edges)
     except ValidationError:
         return None
-    parent, depth = tree._rooted
     for e in tree.cotree_edges:
-        u, v = instance.graph.edges[e]
-        a, b = u, v
-        d = 0
-        while depth[a] > depth[b]:
-            a = parent[a]
-            d += 1
-        while depth[b] > depth[a]:
-            b = parent[b]
-            d += 1
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            d += 2
-        if d != 3:
+        if tree_distance(tree, *instance.graph.edges[e]) != 3:
             return None
     return tree
 

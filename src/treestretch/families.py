@@ -1,28 +1,23 @@
-"""Deterministic generators for every graph family the library analyzes.
+"""Parameter specs of the graph families the library analyzes.
 
-Each generator returns the graph together with the metadata (partitions,
-coordinates, edge kinds, host-tree instance) that the constructions and the
-lower-bound machinery need. Vertex numbering conventions:
-
-- join-style families (wheel, diamond): special vertices first;
-- bipartite/multipartite: parts in the given order, consecutive indices;
-- split and host-tree instances: X-side first, then Y-side;
-- rectangular grid (m rows, n columns): row-major, vertex (i, j) -> i*n + j;
-- triangular grid T_n: lattice points (x, y) with x + y <= n, lexicographic;
-- triangulated rectangular grid (m rows, n columns): vertex (x, y) -> y*n + x.
-
-Slant edges of the triangular families are anti-diagonal unit steps: they join
-(x, y) and (x', y') with |x - x'| + |y - y'| = 2 and x + y = x' + y'.
+Each spec dataclass validates its parameters. Everything else about a family
+(its graph generator with the vertex numbering, closed form, optimal tree and,
+for the plane grids, embedding) sits in the family's record in
+``constructions.FAMILIES``; ``make`` and ``family_of`` look records up there.
+The seeded random helpers at the end feed the tests and the command line.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .convex import ConvexInstance, validate_instance
 from .graphs import Graph, ParameterError, ValidationError, make_graph
+
+if TYPE_CHECKING:
+    from .constructions import Family
 
 
 @dataclass(frozen=True)
@@ -190,179 +185,19 @@ class FamilyGraph:
     meta: dict = field(compare=False)
 
 
-def _classify_edges(graph: Graph, coords: Sequence[tuple[int, int]]) -> list[str]:
-    kinds = []
-    for u, v in graph.edges:
-        (a, b), (c, d) = coords[u], coords[v]
-        if b == d:
-            kinds.append("horizontal")
-        elif a == c:
-            kinds.append("vertical")
-        else:
-            kinds.append("slant")
-    return kinds
+def family_of(spec: FamilySpec | str | None) -> Family | None:
+    """The record of a family, found by spec or by name; None when there is none."""
+    from .constructions import FAMILIES  # the records use every layer, so the table sits on top
+
+    return next((f for f in FAMILIES if isinstance(spec, f.spec) or spec == f.name), None)
 
 
 def make(spec: FamilySpec) -> FamilyGraph:
     """Generate the canonical graph and metadata for a family spec."""
-    if isinstance(spec, Complete):
-        n = spec.n
-        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        return FamilyGraph(spec, g, {"family": "complete", "n": n})
-    if isinstance(spec, Cycle):
-        n = spec.n
-        g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
-        return FamilyGraph(spec, g, {"family": "cycle", "n": n})
-    if isinstance(spec, Wheel):
-        n = spec.n
-        rim = list(range(1, n))
-        edges = [(0, v) for v in rim]
-        edges += [(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))]
-        g = make_graph(n, edges)
-        return FamilyGraph(spec, g, {"family": "wheel", "n": n, "hub": 0})
-    if isinstance(spec, Diamond):
-        n = spec.n
-        edges = [(0, 1)]
-        edges += [(a, v) for v in range(2, n) for a in (0, 1)]
-        g = make_graph(n, edges)
-        return FamilyGraph(
-            spec, g,
-            {"family": "diamond", "n": n, "clique": [0, 1], "independent": list(range(2, n))},
-        )
-    if isinstance(spec, CompleteBipartite):
-        inner = make(CompleteMultipartite((spec.m, spec.n)))
-        return FamilyGraph(spec, inner.graph, {"family": "bipartite", "parts": inner.meta["parts"]})
-    if isinstance(spec, CompleteMultipartite):
-        parts = spec.parts
-        bounds = [0]
-        for p in parts:
-            bounds.append(bounds[-1] + p)
-        groups = [list(range(bounds[i], bounds[i + 1])) for i in range(len(parts))]
-        edges = []
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                edges += [(u, v) for u in groups[i] for v in groups[j]]
-        g = make_graph(bounds[-1], edges)
-        return FamilyGraph(spec, g, {"family": "multipartite", "parts": groups})
-    if isinstance(spec, Petersen):
-        edges = [(i, (i + 1) % 5) for i in range(5)]
-        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        edges += [(i, 5 + i) for i in range(5)]
-        g = make_graph(10, edges)
-        return FamilyGraph(
-            spec, g,
-            {"family": "petersen", "outer": list(range(5)), "inner": list(range(5, 10))},
-        )
-    if isinstance(spec, Split):
-        k = spec.clique_size
-        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-        for j, s in enumerate(spec.y_adjacency):
-            edges += [(x, k + j) for x in sorted(s)]
-        g = make_graph(k + len(spec.y_adjacency), edges)
-        return FamilyGraph(
-            spec, g,
-            {
-                "family": "split",
-                "clique": list(range(k)),
-                "independent": list(range(k, k + len(spec.y_adjacency))),
-                "y_adjacency": [sorted(s) for s in spec.y_adjacency],
-            },
-        )
-    if isinstance(spec, Chain):
-        m, n = spec.m, spec.n
-        edges = []
-        for i, s in enumerate(spec.sizes):
-            edges += [(i, m + j) for j in range(s)]
-        g = make_graph(m + n, edges)
-        return FamilyGraph(
-            spec, g,
-            {"family": "chain", "x": list(range(m)), "y": list(range(m, m + n)), "sizes": list(spec.sizes)},
-        )
-    if isinstance(spec, GeneralizedConvex):
-        inst = spec.instance
-        return FamilyGraph(
-            spec,
-            inst.graph,
-            {
-                "family": "generalized-convex",
-                "x": list(range(inst.m)),
-                "y": list(range(inst.m, inst.m + inst.n_y)),
-                "tau_edges": [list(e) for e in inst.tau_edges],
-                "sigma": [sorted(s) for s in inst.sigma],
-            },
-        )
-    if isinstance(spec, RectGrid):
-        m, n = spec.m, spec.n
-        coords = [(i, j) for i in range(m) for j in range(n)]
-
-        def idx(i: int, j: int) -> int:
-            return i * n + j
-
-        edges = []
-        for i in range(m):
-            for j in range(n):
-                if j + 1 < n:
-                    edges.append((idx(i, j), idx(i, j + 1)))
-                if i + 1 < m:
-                    edges.append((idx(i, j), idx(i + 1, j)))
-        g = make_graph(m * n, edges)
-        kinds = []
-        for u, v in g.edges:
-            kinds.append("horizontal" if coords[u][0] == coords[v][0] else "vertical")
-        meta = {
-            "family": "rect-grid",
-            "rows": m,
-            "cols": n,
-            "coordinates": [list(c) for c in coords],
-            "edge_kinds": kinds,
-        }
-        return FamilyGraph(spec, g, meta)
-    if isinstance(spec, TriGrid):
-        n = spec.n
-        coords = [(x, y) for x in range(n + 1) for y in range(n + 1 - x)]
-        index = {c: i for i, c in enumerate(coords)}
-        edges = []
-        for (x, y) in coords:
-            if (x + 1, y) in index:
-                edges.append((index[(x, y)], index[(x + 1, y)]))
-            if (x, y + 1) in index:
-                edges.append((index[(x, y)], index[(x, y + 1)]))
-            if x + 1 <= n and y - 1 >= 0 and (x + 1, y - 1) in index:
-                edges.append((index[(x, y)], index[(x + 1, y - 1)]))
-        g = make_graph(len(coords), edges)
-        meta = {
-            "family": "tri-grid",
-            "n": n,
-            "coordinates": [list(c) for c in coords],
-            "edge_kinds": _classify_edges(g, coords),
-        }
-        return FamilyGraph(spec, g, meta)
-    if isinstance(spec, TriRectGrid):
-        m, n = spec.m, spec.n
-        coords = [(x, y) for y in range(m) for x in range(n)]
-
-        def idx(x: int, y: int) -> int:
-            return y * n + x
-
-        edges = []
-        for y in range(m):
-            for x in range(n):
-                if x + 1 < n:
-                    edges.append((idx(x, y), idx(x + 1, y)))
-                if y + 1 < m:
-                    edges.append((idx(x, y), idx(x, y + 1)))
-                if x + 1 < n and y - 1 >= 0:
-                    edges.append((idx(x, y), idx(x + 1, y - 1)))
-        g = make_graph(m * n, edges)
-        meta = {
-            "family": "tri-rect-grid",
-            "rows": m,
-            "cols": n,
-            "coordinates": [list(c) for c in coords],
-            "edge_kinds": _classify_edges(g, coords),
-        }
-        return FamilyGraph(spec, g, meta)
-    raise ParameterError(f"unknown family spec: {spec!r}")
+    fam = family_of(spec)
+    if fam is None:
+        raise ParameterError(f"unknown family spec: {spec!r}")
+    return FamilyGraph(spec, *fam.graph(spec))
 
 
 def make_split(clique_size: int, y_adjacency: Sequence[Iterable[int]]) -> FamilyGraph:

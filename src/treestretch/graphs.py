@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class GraphError(Exception):
@@ -322,26 +322,6 @@ def fundamental_cycle_edges(g: Graph, t: SpanningTree, edge: int) -> frozenset[i
         key = (a, b) if a < b else (b, a)
         idx.add(g.edge_index[key])
     return frozenset(idx)
-
-
-def congestion(g: Graph, t: SpanningTree) -> int:
-    """Max over tree edges e of the number of graph edges crossing the cut of T - e."""
-    best = 0
-    for i in t.tree_edges:
-        u, v = g.edges[i]
-        # 2-color the tree components of T - e by BFS from u avoiding e.
-        side = [False] * g.n
-        side[u] = True
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            for b in t.adjacency[a]:
-                if not side[b] and not (a, b) in ((u, v), (v, u)):
-                    side[b] = True
-                    queue.append(b)
-        crossing = sum(1 for a, b in g.edges if side[a] != side[b])
-        best = max(best, crossing)
-    return best
 
 
 def girth(g: Graph) -> int | float:

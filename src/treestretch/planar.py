@@ -14,7 +14,8 @@ the grid families the maximum level has a closed form, and a face of level
 ``lam`` forces a lower bound on the stretch of every spanning tree: any tree
 path connecting the endpoints of an edge on a deep face must escape past
 ``lam`` nested face rings. The bound is ``2*lam + 1`` for the rectangular
-grid and ``lam + 1`` for the triangulated families.
+grid and ``lam + 1`` for the triangulated families. Each grid's embedding,
+closed form and bound rule sit in its record in ``constructions.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .families import RectGrid, TriGrid, TriRectGrid, make
+from .families import FamilySpec, family_of
 from .graphs import (
     DomainError,
     Graph,
@@ -43,13 +44,18 @@ class Cube:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """A graph with a combinatorial embedding: faces as cyclic edge walks."""
+    """A graph with a combinatorial embedding: faces as cyclic edge walks.
+
+    ``labels`` names each face; the analytic embeddings label faces by their
+    lattice position, other embeddings by face index.
+    """
 
     graph: Graph
     faces: tuple[tuple[int, ...], ...]
     outer_face: int
     edge_faces: tuple[tuple[int, int], ...] = field(compare=False)
     family: str | None = None
+    labels: tuple[Hashable, ...] = field(default=(), compare=False)
 
     @property
     def n_faces(self) -> int:
@@ -91,14 +97,18 @@ def make_plane_graph(
     faces: Iterable[Iterable[int]],
     outer_face: int,
     family: str | None = None,
+    labels: Iterable[Hashable] | None = None,
 ) -> PlaneGraph:
     """Validate a combinatorial embedding and assemble the plane graph.
 
     Checks: the graph is connected, every face is a closed walk, every edge
     lies on exactly two distinct faces, and the face count satisfies Euler's
-    formula f = m - n + 2.
+    formula f = m - n + 2. ``labels`` default to the face indices.
     """
     face_tuples = tuple(tuple(int(e) for e in f) for f in faces)
+    labels = tuple(range(len(face_tuples)) if labels is None else labels)
+    if len(labels) != len(face_tuples):
+        raise ValidationError(f"{len(labels)} labels for {len(face_tuples)} faces")
     if not is_connected(graph):
         raise ValidationError("plane graphs must be connected")
     if not (0 <= outer_face < len(face_tuples)):
@@ -128,6 +138,7 @@ def make_plane_graph(
         outer_face=outer_face,
         edge_faces=edge_faces,
         family=family,
+        labels=labels,
     )
 
 
@@ -195,126 +206,20 @@ def face_levels(plane: PlaneGraph) -> FaceLevels:
 # Analytic embeddings for the grid families and the cube
 
 
-def embed_grid(spec: RectGrid | TriGrid | TriRectGrid | Cube) -> PlaneGraph:
-    """Plane embedding with the documented face order; outer face listed last.
+def embed_grid(spec: FamilySpec | Cube, graph: Graph | None = None) -> PlaneGraph:
+    """Plane embedding of a grid family or the cube, outer face listed last.
 
-    Rectangular grid: cells row-major. Triangular grid: lattice order (x, y)
-    with the upward triangle at (x, y) before the downward one. Triangulated
-    rectangular grid: cells row-major, lower-left triangle before upper-right.
-    Cube: the six axis-aligned faces, the outer face being bit 0 = 0.
+    The grids take their face order and face labels from their family record
+    and embed ``graph`` when the caller has built the grid already. Cube: the
+    six axis-aligned faces labelled (axis, value), the outer face being
+    bit 0 = 0.
     """
-    if isinstance(spec, RectGrid):
-        return _embed_rect(spec)
-    if isinstance(spec, TriGrid):
-        return _embed_tri(spec)
-    if isinstance(spec, TriRectGrid):
-        return _embed_tri_rect(spec)
     if isinstance(spec, Cube):
         return _embed_cube()
-    raise ParameterError(f"no analytic embedding for {spec!r}")
-
-
-def _embed_rect(spec: RectGrid) -> PlaneGraph:
-    m, n = spec.m, spec.n
-    g = make(spec).graph
-
-    def vid(i: int, j: int) -> int:
-        return i * n + j
-
-    def eid(a: int, b: int) -> int:
-        return g.edge_index[(a, b) if a < b else (b, a)]
-
-    faces = []
-    for i in range(m - 1):
-        for j in range(n - 1):
-            faces.append(
-                (
-                    eid(vid(i, j), vid(i, j + 1)),
-                    eid(vid(i, j + 1), vid(i + 1, j + 1)),
-                    eid(vid(i + 1, j + 1), vid(i + 1, j)),
-                    eid(vid(i + 1, j), vid(i, j)),
-                )
-            )
-    outer = []
-    outer += [eid(vid(0, j), vid(0, j + 1)) for j in range(n - 1)]
-    outer += [eid(vid(i, n - 1), vid(i + 1, n - 1)) for i in range(m - 1)]
-    outer += [eid(vid(m - 1, j + 1), vid(m - 1, j)) for j in reversed(range(n - 1))]
-    outer += [eid(vid(i + 1, 0), vid(i, 0)) for i in reversed(range(m - 1))]
-    faces.append(tuple(outer))
-    return make_plane_graph(g, faces, len(faces) - 1, family="rect-grid")
-
-
-def _embed_tri(spec: TriGrid) -> PlaneGraph:
-    n = spec.n
-    g = make(spec).graph
-    coords = [(x, y) for x in range(n + 1) for y in range(n + 1 - x)]
-    index = {c: i for i, c in enumerate(coords)}
-
-    def eid(a: tuple[int, int], b: tuple[int, int]) -> int:
-        u, v = index[a], index[b]
-        return g.edge_index[(u, v) if u < v else (v, u)]
-
-    faces = []
-    for x in range(n + 1):
-        for y in range(n + 1 - x):
-            if x + y <= n - 1:
-                faces.append(
-                    (
-                        eid((x, y), (x + 1, y)),
-                        eid((x + 1, y), (x, y + 1)),
-                        eid((x, y + 1), (x, y)),
-                    )
-                )
-            if x + y <= n - 2:
-                faces.append(
-                    (
-                        eid((x + 1, y), (x + 1, y + 1)),
-                        eid((x + 1, y + 1), (x, y + 1)),
-                        eid((x, y + 1), (x + 1, y)),
-                    )
-                )
-    outer = []
-    outer += [eid((x, 0), (x + 1, 0)) for x in range(n)]
-    outer += [eid((n - t, t), (n - t - 1, t + 1)) for t in range(n)]
-    outer += [eid((0, y + 1), (0, y)) for y in reversed(range(n))]
-    faces.append(tuple(outer))
-    return make_plane_graph(g, faces, len(faces) - 1, family="tri-grid")
-
-
-def _embed_tri_rect(spec: TriRectGrid) -> PlaneGraph:
-    m, n = spec.m, spec.n
-    g = make(spec).graph
-
-    def vid(x: int, y: int) -> int:
-        return y * n + x
-
-    def eid(a: int, b: int) -> int:
-        return g.edge_index[(a, b) if a < b else (b, a)]
-
-    faces = []
-    for y in range(m - 1):
-        for x in range(n - 1):
-            faces.append(
-                (
-                    eid(vid(x, y), vid(x + 1, y)),
-                    eid(vid(x + 1, y), vid(x, y + 1)),
-                    eid(vid(x, y + 1), vid(x, y)),
-                )
-            )
-            faces.append(
-                (
-                    eid(vid(x + 1, y), vid(x + 1, y + 1)),
-                    eid(vid(x + 1, y + 1), vid(x, y + 1)),
-                    eid(vid(x, y + 1), vid(x + 1, y)),
-                )
-            )
-    outer = []
-    outer += [eid(vid(x, 0), vid(x + 1, 0)) for x in range(n - 1)]
-    outer += [eid(vid(n - 1, y), vid(n - 1, y + 1)) for y in range(m - 1)]
-    outer += [eid(vid(x + 1, m - 1), vid(x, m - 1)) for x in reversed(range(n - 1))]
-    outer += [eid(vid(0, y + 1), vid(0, y)) for y in reversed(range(m - 1))]
-    faces.append(tuple(outer))
-    return make_plane_graph(g, faces, len(faces) - 1, family="tri-rect-grid")
+    fam = family_of(spec)
+    if fam is None or fam.embed is None:
+        raise ParameterError(f"no analytic embedding for {spec!r}")
+    return fam.embed(spec, fam.graph(spec)[0] if graph is None else graph)
 
 
 def _embed_cube() -> PlaneGraph:
@@ -330,7 +235,7 @@ def _embed_cube() -> PlaneGraph:
         return g.edge_index[(a, b) if a < b else (b, a)]
 
     gray = [(0, 0), (0, 1), (1, 1), (1, 0)]
-    faces = []
+    faces, labels = [], []
     for axis in range(3):
         o1, o2 = [b for b in range(3) if b != axis]
         for value in (0, 1):
@@ -342,22 +247,20 @@ def _embed_cube() -> PlaneGraph:
                     eid(corners[k], corners[(k + 1) % 4]) for k in range(4)
                 )
             )
-    return make_plane_graph(g, faces, 0, family="cube")
+            labels.append((axis, value))
+    return make_plane_graph(g, faces, 0, family="cube", labels=labels)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms and lower bounds
 
 
-def lambda_max_formula(spec: RectGrid | TriGrid | TriRectGrid) -> int:
+def lambda_max_formula(spec: FamilySpec) -> int:
     """Closed-form maximum face level of the grid families."""
-    if isinstance(spec, RectGrid):
-        return spec.m // 2
-    if isinstance(spec, TriGrid):
-        return (2 * spec.n + 2) // 3  # ceil(2n/3)
-    if isinstance(spec, TriRectGrid):
-        return spec.m - 1
-    raise ParameterError(f"no face-level formula for {spec!r}")
+    fam = family_of(spec)
+    if fam is None or fam.lambda_max is None:
+        raise ParameterError(f"no face-level formula for {spec!r}")
+    return fam.lambda_max(spec)
 
 
 def stretch_lower_bound(plane: PlaneGraph) -> int:
@@ -368,14 +271,12 @@ def stretch_lower_bound(plane: PlaneGraph) -> int:
     lambda_max + 1. Embeddings without one of these family tags are refused:
     no bound is established for them.
     """
-    lam = face_levels(plane).lambda_max
-    if plane.family == "rect-grid":
-        return 2 * lam + 1
-    if plane.family in ("tri-grid", "tri-rect-grid"):
-        return lam + 1
-    raise DomainError(
-        f"no face-level stretch bound is established for family {plane.family!r}"
-    )
+    fam = family_of(plane.family)
+    if fam is None or fam.level_bound is None:
+        raise DomainError(
+            f"no face-level stretch bound is established for family {plane.family!r}"
+        )
+    return fam.level_bound(face_levels(plane).lambda_max)
 
 
 # ---------------------------------------------------------------------------

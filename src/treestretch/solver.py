@@ -6,10 +6,11 @@ first, so trees are produced in a fixed lexicographic order and the first optimu
 found is deterministic. Excluding an edge is only followed when the remaining edges
 can still connect the current forest, so dead branches are cut early.
 
-sigma_exact tracks, along each branch, the largest tree distance already forced
-between endpoints of a graph edge: once two vertices share a component of the
-partial forest, the path between them is final, so that distance is a sound lower
-bound on the finished tree's stretch and can prune against the best tree so far.
+sigma_exact runs the same search and also tracks, along each branch, the largest
+tree distance already forced between endpoints of a graph edge: once two vertices
+share a component of the partial forest, the path between them is final, so that
+distance is a sound lower bound on the finished tree's stretch and can prune
+against the best tree so far.
 The girth bound (shortest cycle length minus one) gives a global floor that stops
 the whole search as soon as it is attained.
 
@@ -98,15 +99,18 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
     return sign * a[size - 1][size - 1]
 
 
+class _Stop(Exception):
+    """Internal: the girth floor was reached, the search is over."""
+
+
 class _TreeSearch:
-    """Shared machinery for enumeration and the exact solve.
+    """Include-first walk over the spanning trees, shared by enumeration and the exact solve.
 
     Union-find uses union by size without path compression so that unions can be
     rolled back in O(1) when backtracking.
     """
 
     def __init__(self, g: Graph, max_trees: int):
-        self.g = g
         self.n = g.n
         self.m = g.m
         self.edges = g.edges
@@ -158,12 +162,80 @@ class _TreeSearch:
                     return True
         return False
 
-    def bump_count(self) -> None:
-        if self.count >= self.max_trees:
-            raise ResourceLimitError(
-                f"spanning-tree cap of {self.max_trees} exceeded", self.count
-            )
-        self.count += 1
+    def run(self, on_tree: Callable[[int], float], distances: bool) -> None:
+        """Call ``on_tree(forced)`` on every tree reached, in include-first order.
+
+        With ``distances``, ``forced`` is the largest tree distance already
+        forced between the ends of a graph edge, and an edge is included only
+        while it forces less than the cutoff ``on_tree`` returned last. Plain
+        enumeration skips that step: ``forced`` stays 0.
+        """
+        n, m, edges, included = self.n, self.m, self.edges, self.included
+        find, union, undo, can_connect = self.find, self.union, self.undo, self.can_connect
+        forest_adj: list[list[int]] = [[] for _ in range(n)]
+        cutoff = math.inf
+
+        def forest_dists(start: int) -> list[int]:
+            dist = [-1] * n
+            dist[start] = 0
+            queue = deque([start])
+            while queue:
+                a = queue.popleft()
+                da = dist[a]
+                for b in forest_adj[a]:
+                    if dist[b] < 0:
+                        dist[b] = da + 1
+                        queue.append(b)
+            return dist
+
+        def rec(i: int, forced: int) -> None:
+            nonlocal cutoff
+            if len(included) == n - 1:
+                if self.count >= self.max_trees:
+                    raise ResourceLimitError(
+                        f"spanning-tree cap of {self.max_trees} exceeded", self.count
+                    )
+                self.count += 1
+                cutoff = on_tree(forced)
+                return
+            if i == m:
+                return
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                rec(i + 1, forced)  # would close a cycle; exclusion is forced and harmless
+                return
+            nf = forced
+            if distances:
+                # Including edge i merges the components of u and v; every graph edge
+                # crossing them gets its final tree distance right now.
+                du = forest_dists(u)
+                dv = forest_dists(v)
+                for a, b in edges:
+                    if du[a] >= 0 and dv[b] >= 0:
+                        d = du[a] + 1 + dv[b]
+                    elif du[b] >= 0 and dv[a] >= 0:
+                        d = du[b] + 1 + dv[a]
+                    else:
+                        continue
+                    if d > nf:
+                        nf = d
+            if nf < cutoff:
+                union(ru, rv)
+                included.append(i)
+                if distances:
+                    forest_adj[u].append(v)
+                    forest_adj[v].append(u)
+                rec(i + 1, nf)
+                if distances:
+                    forest_adj[v].pop()
+                    forest_adj[u].pop()
+                included.pop()
+                undo()
+            if can_connect(i + 1):
+                rec(i + 1, forced)
+
+        rec(0, 0)
 
 
 def enumerate_spanning_trees(
@@ -179,40 +251,14 @@ def enumerate_spanning_trees(
     if not is_connected(g):
         raise ValidationError("cannot enumerate spanning trees of a disconnected graph")
     search = _TreeSearch(g, max_trees)
-    if g.n == 1:
-        search.bump_count()
+
+    def on_tree(forced: int) -> float:
         if visitor is not None:
-            visitor(())
-        return search.count
-    target = g.n - 1
+            visitor(tuple(search.included))
+        return math.inf
 
-    def rec(i: int) -> None:
-        if len(search.included) == target:
-            search.bump_count()
-            if visitor is not None:
-                visitor(tuple(search.included))
-            return
-        if i == search.m:
-            return
-        u, v = search.edges[i]
-        ru, rv = search.find(u), search.find(v)
-        if ru == rv:
-            rec(i + 1)  # would close a cycle; exclusion is forced and harmless
-            return
-        search.union(ru, rv)
-        search.included.append(i)
-        rec(i + 1)
-        search.included.pop()
-        search.undo()
-        if search.can_connect(i + 1):
-            rec(i + 1)
-
-    rec(0)
+    search.run(on_tree, distances=False)
     return search.count
-
-
-class _Stop(Exception):
-    """Internal: the girth floor was reached, the search is over."""
 
 
 def sigma_exact(
@@ -242,70 +288,20 @@ def sigma_exact(
         )
     floor = lower_bound_girth(g)
     search = _TreeSearch(g, max_trees)
-    edges = g.edges
-    forest_adj: list[list[int]] = [[] for _ in range(n)]
     best_sigma = math.inf
     best_tree: tuple[int, ...] | None = None
 
-    def forest_dists(start: int) -> list[int]:
-        dist = [-1] * n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            da = dist[a]
-            for b in forest_adj[a]:
-                if dist[b] < 0:
-                    dist[b] = da + 1
-                    queue.append(b)
-        return dist
-
-    def rec(i: int, forced: int) -> None:
+    def on_tree(forced: int) -> float:
         nonlocal best_sigma, best_tree
-        if len(search.included) == n - 1:
-            search.bump_count()
-            if forced < best_sigma:
-                best_sigma = forced
-                best_tree = tuple(search.included)
-                if use_pruning and best_sigma <= floor:
-                    raise _Stop
-            return
-        if i == m:
-            return
-        u, v = edges[i]
-        ru, rv = search.find(u), search.find(v)
-        if ru == rv:
-            rec(i + 1, forced)
-            return
-        # Including edge i merges the components of u and v; every graph edge
-        # crossing them gets its final tree distance right now.
-        du = forest_dists(u)
-        dv = forest_dists(v)
-        nf = forced
-        for a, b in edges:
-            if du[a] >= 0 and dv[b] >= 0:
-                d = du[a] + 1 + dv[b]
-            elif du[b] >= 0 and dv[a] >= 0:
-                d = du[b] + 1 + dv[a]
-            else:
-                continue
-            if d > nf:
-                nf = d
-        if not use_pruning or nf < best_sigma:
-            search.union(ru, rv)
-            search.included.append(i)
-            forest_adj[u].append(v)
-            forest_adj[v].append(u)
-            rec(i + 1, nf)
-            forest_adj[v].pop()
-            forest_adj[u].pop()
-            search.included.pop()
-            search.undo()
-        if search.can_connect(i + 1):
-            rec(i + 1, forced)
+        if forced < best_sigma:
+            best_sigma = forced
+            best_tree = tuple(search.included)
+            if use_pruning and best_sigma <= floor:
+                raise _Stop
+        return best_sigma if use_pruning else math.inf
 
     try:
-        rec(0, 0)
+        search.run(on_tree, distances=True)
     except _Stop:
         pass
     assert best_tree is not None, "connected graph must have a spanning tree"

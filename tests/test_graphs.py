@@ -13,7 +13,6 @@ from treestretch.graphs import (
     ParameterError,
     ValidationError,
     blocks,
-    congestion,
     fundamental_cycle,
     fundamental_cycle_edges,
     girth,
@@ -209,19 +208,6 @@ class TestFundamentalCycle:
         for e in sorted(t.cotree_edges):
             u, v = g.edges[e]
             assert len(fundamental_cycle(g, t, e)) == tree_distance(t, u, v) + 1
-
-
-class TestCongestion:
-    def test_cycle_congestion(self):
-        g = cycle_graph(4)
-        t = spanning_tree(g, [0, 1, 2])
-        cong = congestion(g, t)
-        assert cong == 2  # every tree edge is crossed by itself and the chord
-
-    def test_star_congestion(self):
-        g = complete_graph(4)
-        t = spanning_tree_from_pairs(g, [(0, v) for v in range(1, 4)])
-        assert congestion(g, t) == 3
 
 
 def naive_girth(g):
