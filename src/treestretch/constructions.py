@@ -115,7 +115,7 @@ class FormulaResult:
 # Command-line parsers
 
 
-def _ints(count: int | None = None, build: Callable[..., FamilySpec] | None = None) -> Parser:
+def _ints(count: int | None, build: Callable[..., FamilySpec]) -> Parser:
     """Parser for ``count`` integer words (at least one if None) passed to ``build``."""
 
     def parse(name: str, words: Sequence[str], seed: int) -> FamilySpec:
@@ -155,7 +155,7 @@ def _parse_split(name: str, words: Sequence[str], seed: int) -> Split:
 
 
 def _parse_chain(name: str, words: Sequence[str], seed: int) -> Chain:
-    vals = _ints(build=lambda *v: v)(name, words, seed)
+    vals = _ints(None, lambda *v: v)(name, words, seed)
     if len(vals) < 3:
         raise ParameterError("chain takes m, n, then m neighbor-set sizes")
     return Chain(vals[0], vals[1], tuple(vals[2:]))
@@ -727,7 +727,7 @@ FAMILIES: tuple[Family, ...] = (
            {"complete-bipartite": _ints(2, CompleteBipartite)}, _bipartite_graph,
            sigma=lambda s, g: 3, tree=lambda s, g: double_star_tree(g, 0, s.m)),
     Family("complete-multipartite", CompleteMultipartite,
-           {"complete-multipartite": _ints(build=lambda *parts: CompleteMultipartite(parts))},
+           {"complete-multipartite": _ints(None, lambda *parts: CompleteMultipartite(parts))},
            _multipartite_graph,
            sigma=lambda s, g: 2 if len(s.parts) > 2 and min(s.parts) == 1 else 3,
            tree=_multipartite_tree),

@@ -46,7 +46,7 @@ class Cube:
 class PlaneGraph:
     """A graph with a combinatorial embedding: faces as cyclic edge walks.
 
-    ``labels`` names each face; the analytic embeddings label faces by their
+    ``labels`` names each face: the grid embeddings label faces by their
     lattice position, other embeddings by face index.
     """
 
@@ -211,8 +211,7 @@ def embed_grid(spec: FamilySpec | Cube, graph: Graph | None = None) -> PlaneGrap
 
     The grids take their face order and face labels from their family record
     and embed ``graph`` when the caller has built the grid already. Cube: the
-    six axis-aligned faces labelled (axis, value), the outer face being
-    bit 0 = 0.
+    six axis-aligned faces, the outer face being bit 0 = 0.
     """
     if isinstance(spec, Cube):
         return _embed_cube()
@@ -235,7 +234,7 @@ def _embed_cube() -> PlaneGraph:
         return g.edge_index[(a, b) if a < b else (b, a)]
 
     gray = [(0, 0), (0, 1), (1, 1), (1, 0)]
-    faces, labels = [], []
+    faces = []
     for axis in range(3):
         o1, o2 = [b for b in range(3) if b != axis]
         for value in (0, 1):
@@ -247,8 +246,7 @@ def _embed_cube() -> PlaneGraph:
                     eid(corners[k], corners[(k + 1) % 4]) for k in range(4)
                 )
             )
-            labels.append((axis, value))
-    return make_plane_graph(g, faces, 0, family="cube", labels=labels)
+    return make_plane_graph(g, faces, 0, family="cube")
 
 
 # ---------------------------------------------------------------------------
