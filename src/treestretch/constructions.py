@@ -68,7 +68,7 @@ from .graphs import (
     spanning_tree_from_pairs,
     stretch,
 )
-from .planar import PlaneGraph, face_levels, make_plane_graph
+from .planar import PlaneGraph, make_plane_graph
 
 Parser = Callable[[str, Sequence[str], int], FamilySpec]
 
@@ -256,19 +256,21 @@ def _bipartite_graph(spec: CompleteBipartite) -> tuple[Graph, dict]:
 def multipartite_tree(spec: CompleteMultipartite, g: Graph | None = None) -> SpanningTree:
     """Optimal tree for a complete multipartite graph with three or more parts.
 
-    Part sizes must be sorted ascending (the construction roots at the
-    smallest part). A singleton smallest part gives a star (stretch 2);
-    otherwise a double star over the first vertices of the two smallest
-    parts gives stretch 3, which is optimal. ``g`` is the graph, if built.
+    Parts may come in any order. The tree is rooted at the first vertex of the
+    smallest part (the earliest of equal parts). If that part is a singleton,
+    its vertex is adjacent to all others and the star gives stretch 2;
+    otherwise a double star over it and the first vertex of the next-smallest
+    part gives stretch 3, which is optimal. ``g`` is the graph, if built.
     """
-    if len(spec.parts) < 3:
+    parts = spec.parts
+    if len(parts) < 3:
         raise ParameterError("use the bipartite construction for two parts")
-    if any(a > b for a, b in zip(spec.parts, spec.parts[1:])):
-        raise ParameterError("part sizes must be sorted ascending")
     g = _host(spec, g)
-    if spec.parts[0] == 1:
-        return star_tree(g, 0)
-    return double_star_tree(g, 0, spec.parts[0])
+    smallest, next_smallest = sorted(range(len(parts)), key=parts.__getitem__)[:2]
+    root = sum(parts[:smallest])
+    if parts[smallest] == 1:
+        return star_tree(g, root)
+    return double_star_tree(g, root, sum(parts[:next_smallest]))
 
 
 def _multipartite_tree(spec: CompleteMultipartite, g: Graph) -> SpanningTree:
@@ -584,25 +586,33 @@ def _embed_tri(spec: TriGrid, g: Graph) -> PlaneGraph:
     return make_plane_graph(g, faces, len(faces) - 1, "tri-grid", [*labels, "outer"])
 
 
+def _tri_crossing(n: int) -> int:
+    """Coordinate c of the corner (c, c) of the first deepest face of T_n.
+
+    In the dual BFS from the outer face, the upward triangle at (x, y) has
+    level min(2x, 2y, 2(n - x - y) - 2) + 1 and the downward one
+    min(2x, 2y, 2(n - x - y) - 4) + 2. The first deepest face in face order
+    sits at x = y = (n - 1) // 3: upward when n = 3k + 1, else downward. Its
+    corner on the two pinned lines is (x, y) for an upward face and
+    (x + 1, y + 1) for a downward one, which is ((n + 1) // 3, (n + 1) // 3)
+    either way.
+    """
+    return (n + 1) // 3
+
+
 def tri_grid_tree(spec: TriGrid, g: Graph | None = None) -> SpanningTree:
     """Optimal tree for the triangular grid, routed around a deepest face.
 
     The deepest face, the first in face order, pins a full horizontal line
-    and a full vertical line through its corner; columns below the horizontal
-    line, rows above it, and the two leftover corner regions are filled so
-    every escape route to the crossing point stays short. The stretch is
-    ceil(2n/3) + 1. ``g`` is the grid, if built.
+    and a full vertical line through its corner (:func:`_tri_crossing`);
+    columns below the horizontal line, rows above it, and the two leftover
+    corner regions are filled so every escape route to the crossing point
+    stays short. The stretch is ceil(2n/3) + 1. ``g`` is the grid, if built.
     """
     n = spec.n
     g = _host(spec, g)
     index = _tri_index(n)
-    plane = _embed_tri(spec, g)
-    levels = face_levels(plane)
-    ax, ay, kind = plane.labels[levels.level.index(levels.lambda_max)]
-    if kind == "up":
-        y_h, x_v = ay, ax
-    else:
-        y_h, x_v = ay + 1, ax + 1
+    y_h = x_v = _tri_crossing(n)
 
     pairs: set[tuple[int, int]] = set()
 

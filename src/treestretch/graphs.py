@@ -99,7 +99,12 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
+    """Whether every vertex is reachable from vertex 0.
+
+    A connected graph on n vertices has at least n - 1 edges, so a sparser
+    one is refused before anything of size n is allocated.
+    """
+    if g.n == 0 or g.m < g.n - 1:
         return False
     seen = [False] * g.n
     seen[0] = True
@@ -327,34 +332,64 @@ def fundamental_cycle_edges(g: Graph, t: SpanningTree, edge: int) -> frozenset[i
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or math.inf for forests.
 
-    Full BFS from every vertex; a candidate dist[u] + dist[w] + 1 is recorded for
-    every edge (u, w) that is not a parent link of the BFS tree. Every candidate is
-    the length of a closed walk that traverses (u, w) exactly once and therefore
-    contains a cycle, so candidates never undershoot; and for a start vertex lying
-    on a shortest cycle the far edge of that cycle realizes its exact length, so
-    the minimum over all starts is exact.
+    A breadth-first search from every vertex (Itai & Rodeh, "Finding a minimum
+    circuit in a graph", SIAM J. Comput. 1978). When the search pops a vertex
+    ``a`` and meets a neighbour ``b`` that is already visited and is not the
+    parent of ``a``, the edge (a, b) is not a link of the BFS tree, and
+    ``dist[a] + dist[b] + 1`` becomes a candidate.
+
+    No candidate undershoots: it is the length of a closed walk that runs down
+    the tree to ``a``, crosses (a, b) once and returns up the tree from ``b``,
+    and a closed walk that uses an edge exactly once contains a cycle.
+
+    Some candidate is exact: take a shortest cycle C, of length k, and a start
+    ``s`` on C. The BFS tree cannot hold every edge of C, so some edge of C is
+    not a tree link. If it joins the i-th and (i + 1)-th vertex of C counted
+    from ``s``, its ends are at most i and k - i - 1 steps from ``s`` along C,
+    so its candidate is at most k. The first of its ends to be popped records
+    it, and that end is at most (k - 1) / 2 from ``s``.
+
+    Two rules stop work that cannot lower the minimum ``best`` found so far:
+
+    - a search ends when it pops a vertex ``a`` with ``2 * dist[a] >= best``.
+      BFS pops vertices in order of distance, and a visited non-parent
+      neighbour of a later vertex ``a'`` is at least ``dist[a'] - 1`` away, so
+      every later candidate is at least ``2 * dist[a] >= best``. While
+      ``best`` is still above k, the exact candidate of C is recorded before
+      this rule fires, since its end is popped at ``2 * dist <= k - 1``;
+    - the whole search returns once ``best`` is 3, the shortest cycle of a
+      simple graph.
+
+    ``dist`` and ``parent`` are allocated once; after each search only the
+    vertices it reached are reset, so a start costs the size of its ball.
     """
+    adjacency = g.adjacency
+    dist = [-1] * g.n
+    parent = [-1] * g.n
     best: int | float = math.inf
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            a = queue.popleft()
-            for b in g.adjacency[a]:
-                if dist[b] < 0:
-                    dist[b] = dist[a] + 1
+        parent[s] = -1
+        reached = [s]  # the BFS queue: popped vertices stay in it for the reset
+        head = 0
+        while head < len(reached):
+            a = reached[head]
+            head += 1
+            da = dist[a]
+            if 2 * da >= best:
+                break
+            for b in adjacency[a]:
+                db = dist[b]
+                if db < 0:
+                    dist[b] = da + 1
                     parent[b] = a
-                    queue.append(b)
-        for u, w in g.edges:
-            if dist[u] < 0 or dist[w] < 0:
-                continue
-            if parent[u] == w or parent[w] == u:
-                continue
-            candidate = dist[u] + dist[w] + 1
-            if candidate < best:
-                best = candidate
+                    reached.append(b)
+                elif b != parent[a] and da + db + 1 < best:
+                    best = da + db + 1
+        for v in reached:
+            dist[v] = -1
+        if best == 3:
+            break
     return best
 
 

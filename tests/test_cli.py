@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from treestretch import constructions
 from treestretch.cli import main
 
 
@@ -93,6 +94,25 @@ class TestConstruct:
         assert report["sigma_formula"] == 4
         assert report["lower_bound_girth"] == 4
 
+    @pytest.mark.parametrize(
+        "words,girth_bound",
+        [(["rect-grid", "30", "30"], 3), (["tri-grid", "41"], 2), (["tri-rect-grid", "30", "30"], 2)],
+        ids=["rect-grid", "tri-grid", "tri-rect-grid"],
+    )
+    def test_large_grid_bounds_with_one_embedding(self, capsys, monkeypatch, words, girth_bound):
+        embeddings = []
+        make_plane_graph = constructions.make_plane_graph
+
+        def counted(*args, **kwargs):
+            embeddings.append(args[3])
+            return make_plane_graph(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "make_plane_graph", counted)
+        report = run_json(capsys, "construct", *words)
+        assert report["lower_bound_girth"] == girth_bound
+        assert report["lower_bound_level"] == report["sigma_formula"] == report["sigma_measured"]
+        assert embeddings == [words[0]]
+
 
 class TestSolve:
     def make_graph_file(self, tmp_path, capsys, *gen_args):
@@ -125,6 +145,14 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/graph.json")
         assert code == 1
+
+    def test_huge_edgeless_graph_refused(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": 10**6, "edges": []}))
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert "requires a connected graph" in err
 
 
 class TestConvex:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from treestretch.constructions import (
+    _tri_crossing,
     classify_split,
     double_star_tree,
     multipartite_tree,
@@ -42,6 +43,7 @@ from treestretch.graphs import (
     make_graph,
     stretch,
 )
+from treestretch.planar import embed_grid, face_levels
 from treestretch.solver import sigma_exact
 
 
@@ -134,11 +136,22 @@ class TestMultipartite:
         t = multipartite_tree(spec)
         assert stretch(g, t).stretch == 3
 
-    def test_requires_three_sorted_parts(self):
+    def test_requires_three_parts(self):
         with pytest.raises(ParameterError):
             multipartite_tree(CompleteMultipartite((2, 2)))
-        with pytest.raises(ParameterError):
-            multipartite_tree(CompleteMultipartite((2, 1, 2)))
+
+    @pytest.mark.parametrize(
+        "parts,center,other",
+        [((2, 1, 2), 2, None), ((3, 2, 2), 3, 5), ((3, 3, 2, 3), 6, 0), ((4, 2, 3), 4, 6)],
+    )
+    def test_any_part_order(self, parts, center, other):
+        spec = CompleteMultipartite(parts)
+        g = make(spec).graph
+        t = multipartite_tree(spec)
+        assert stretch(g, t).stretch == sigma_formula(spec) == (2 if other is None else 3)
+        assert t.adjacency[center] == tuple(v for v in range(g.n) if g.has_edge(center, v))
+        if other is not None:
+            assert center in t.adjacency[other]
 
 
 class TestSplitClassification:
@@ -234,6 +247,14 @@ class TestGridTrees:
         spec = TriGrid(n)
         g = make(spec).graph
         assert stretch(g, tri_grid_tree(spec)).stretch == (2 * n + 2) // 3 + 1
+
+    def test_tri_crossing_is_corner_of_first_deepest_face(self):
+        for n in range(1, 41):
+            plane = embed_grid(TriGrid(n))
+            levels = face_levels(plane)
+            x, y, kind = plane.labels[levels.level.index(levels.lambda_max)]
+            corner = (x, y) if kind == "up" else (x + 1, y + 1)
+            assert corner == (_tri_crossing(n), _tri_crossing(n)), n
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (5, 6)])
     def test_tri_rect_matches_formula(self, m, n):

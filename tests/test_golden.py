@@ -56,6 +56,7 @@ CASES.update({
     "construct-split-pair": (["construct", "split", "3", "0,1", "1,2"], None),
     "construct-multipartite-star": (["construct", "complete-multipartite", "1", "2", "2"], None),
     "construct-multipartite-two-parts": (["construct", "complete-multipartite", "2", "3"], None),
+    "construct-multipartite-unsorted": (["construct", "complete-multipartite", "2", "1", "2"], None),
     "construct-rect-grid-odd": (["construct", "rect-grid", "5", "7"], None),
     "construct-tri-grid-20": (["construct", "tri-grid", "20"], None),
     "construct-tri-rect-grid-odd": (["construct", "tri-rect-grid", "3", "4"], None),
@@ -85,7 +86,6 @@ CASES.update({
     "error-split-parameter": (["construct", "split", "3", "0;1"], None),
     "error-chain-parameter": (["construct", "chain", "2", "3"], None),
     "error-random-parameter": (["generate", "random-split", "3"], None),
-    "error-unsorted-multipartite": (["construct", "complete-multipartite", "2", "1", "2"], None),
     "error-levels-non-grid": (["levels", "complete", "4"], None),
     "error-levels-cube-parameter": (["levels", "cube", "1"], None),
 })

@@ -252,13 +252,58 @@ class TestGirth:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_naive_oracle(self, data):
-        n = data.draw(st.integers(2, 7))
+        n = data.draw(st.integers(2, 14))
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = data.draw(
             st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs))
         )
         g = make_graph(n, chosen)
         assert girth(g) == naive_girth(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_forest_then_component_with_cycles(self, data):
+        """Only a component after the first one, a forest, can hold a cycle."""
+        size = data.draw(st.integers(1, 7))
+        forest = [(v, data.draw(st.integers(0, v - 1))) for v in range(1, size)]
+        forest = data.draw(st.lists(st.sampled_from(forest), unique=True)) if forest else []
+        rest = data.draw(st.integers(0, 7))
+        pairs = [(size + u, size + v) for u in range(rest) for v in range(u + 1, rest)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = make_graph(size + rest, forest + chosen)
+        assert girth(g) == naive_girth(g)
+
+    def test_forests_and_disconnected_graphs(self):
+        forest = make_graph(9, [(0, 1), (1, 2), (1, 3), (4, 5), (6, 7), (6, 8)])
+        assert girth(forest) == math.inf
+        # A path on 0..4, then a 5-cycle, then a triangle far from vertex 0.
+        edges = [(i, i + 1) for i in range(4)]
+        edges += [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+        edges += [(10, 11), (11, 12), (10, 12)]
+        assert girth(make_graph(13, edges)) == 3
+        assert girth(make_graph(13, edges[:-3])) == 5
+
+    @pytest.mark.parametrize("k", range(4, 16))
+    def test_cycle_with_one_chord(self, k):
+        for j in range(2, k - 1):
+            g = make_graph(k, [(i, (i + 1) % k) for i in range(k)] + [(0, j)])
+            assert girth(g) == naive_girth(g) == min(j, k - j) + 1
+
+    def test_shortest_cycle_avoids_vertex_zero(self):
+        # A 7-cycle through 0 sharing vertex 6 with a 4-cycle on 6, 7, 8, 9.
+        edges = [(i, (i + 1) % 7) for i in range(7)]
+        edges += [(6, 7), (7, 8), (8, 9), (9, 6)]
+        g = make_graph(10, edges)
+        assert girth(g) == naive_girth(g) == 4
+        # A 9-cycle through 0 and a pentagon hanging off it by a path.
+        edges = [(i, (i + 1) % 9) for i in range(9)]
+        edges += [(4, 9), (9, 10)] + [(10 + i, 10 + (i + 1) % 5) for i in range(5)]
+        g = make_graph(15, edges)
+        assert girth(g) == naive_girth(g) == 5
+        # The same graph under every rotation of the labels.
+        for shift in range(15):
+            h = relabel_graph(g, [(v + shift) % 15 for v in range(15)])
+            assert girth(h) == 5
 
 
 class TestBlocks:
