@@ -17,8 +17,8 @@ import time
 from typing import Sequence
 
 from . import convex as convex_mod
-from .constructions import FAMILIES, optimal_construction
 from .families import (
+    FAMILIES,
     Chain,
     Complete,
     CompleteBipartite,
@@ -32,13 +32,17 @@ from .families import (
     TriGrid,
     TriRectGrid,
     Wheel,
+    embed_grid,
     family_of,
     make,
+    optimal_construction,
     random_convex_spec,
     random_glued_blocks,
+    stretch_lower_bound,
 )
 from .graphs import (
     DomainError,
+    Graph,
     GraphError,
     ParameterError,
     ResourceLimitError,
@@ -48,13 +52,7 @@ from .graphs import (
     stretch,
     to_dot,
 )
-from .planar import (
-    Cube,
-    embed_grid,
-    face_levels,
-    overlay_dot,
-    stretch_lower_bound,
-)
+from .planar import Cube, face_levels, overlay_dot
 from .solver import DEFAULT_MAX_TREES, lower_bound_girth, sigma_exact
 
 
@@ -112,12 +110,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _lower_bounds(spec: FamilySpec, g: Graph) -> tuple[int | None, int | None]:
+    """The girth bound when ``g`` has a cycle, and the face-level bound of a plane grid."""
+    girth_lb = lower_bound_girth(g) if g.m >= g.n else None
+    level_lb = stretch_lower_bound(embed_grid(spec, g)) if family_of(spec).embed else None
+    return girth_lb, level_lb
+
+
 def cmd_construct(args) -> int:
     started = time.perf_counter()
     spec = _parse_spec(args.family, args.params, args.seed)
     fam = family_of(spec)
     result = optimal_construction(spec)
     g = result.tree.host
+    girth_lb, level_lb = _lower_bounds(spec, g)
     report = {
         "schema": 1,
         "command": "construct",
@@ -126,13 +132,9 @@ def cmd_construct(args) -> int:
         "sigma_measured": result.certificate.stretch,
         "degenerate": result.degenerate,
         "tree": [list(p) for p in result.tree.edge_pairs()],
-        "lower_bound_girth": None,
-        "lower_bound_level": None,
+        "lower_bound_girth": girth_lb,
+        "lower_bound_level": level_lb,
     }
-    if g.m >= g.n:
-        report["lower_bound_girth"] = lower_bound_girth(g)
-    if fam.embed is not None:
-        report["lower_bound_level"] = stretch_lower_bound(embed_grid(spec, g))
     if args.verify:
         exact = sigma_exact(g, use_pruning=not args.no_prune, max_trees=args.max_trees)
         report["sigma_exact"] = exact.sigma
@@ -193,14 +195,15 @@ def cmd_levels(args) -> int:
     if args.family == "cube":
         if args.params:
             raise ParameterError("cube takes no parameters")
-        spec, coords, row_of = Cube(), None, lambda label: 0
+        spec, graph, coords, row_of = Cube(), None, None, lambda label: 0
     else:
         spec = _parse_spec(args.family, args.params, seed=0)
         fam = family_of(spec)
         if fam.embed is None:
             raise ParameterError(f"no embedding for family {args.family!r}")
-        coords, row_of = make(spec).meta["coordinates"], fam.level_row
-    plane = embed_grid(spec)
+        built = make(spec)
+        graph, coords, row_of = built.graph, built.meta["coordinates"], fam.level_row
+    plane = embed_grid(spec, graph)
     levels = face_levels(plane)
     if args.dual_dot:
         print(overlay_dot(plane, coordinates=coords), end="")
@@ -270,8 +273,7 @@ def cmd_reproduce(args) -> int:
     for label, spec, run_exact in _reproduce_rows():
         result = optimal_construction(spec)
         g = result.tree.host
-        girth_lb = lower_bound_girth(g) if g.m >= g.n else None
-        level_lb = stretch_lower_bound(embed_grid(spec, g)) if family_of(spec).embed else None
+        girth_lb, level_lb = _lower_bounds(spec, g)
         exact_sigma = None
         if run_exact:
             exact_sigma = sigma_exact(g, max_trees=args.max_trees).sigma

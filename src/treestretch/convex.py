@@ -91,7 +91,7 @@ class ConvexInstance:
         return [v for v in range(self.n_y) if len(adj[v]) <= 1]
 
 
-def _subpath_sequence(n_y: int, tau_adj: Mapping[int, list[int]], members: frozenset[int]) -> tuple[int, ...] | None:
+def _subpath_sequence(tau_adj: Sequence[Sequence[int]], members: frozenset[int]) -> tuple[int, ...] | None:
     """Vertex sequence of the path induced by ``members`` in tau, or None."""
     if not members:
         return None
@@ -130,18 +130,7 @@ def validate_instance(
     if len(edges) != n_y - 1:
         raise ValidationError(f"host tree on {n_y} vertices needs {n_y - 1} edges, got {len(edges)}")
     tau = make_graph(n_y, edges)
-    seen = [False] * n_y
-    stack = [0]
-    seen[0] = True
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for w in tau.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                stack.append(w)
-    if reached != n_y:
+    if not is_connected(tau):
         raise ValidationError("host tau is not connected, so it is not a tree")
 
     sets = []
@@ -155,10 +144,9 @@ def validate_instance(
     if not sets:
         raise ValidationError("the family of neighbor sets is empty")
 
-    tau_adj = {v: sorted(tau.adjacency[v]) for v in range(n_y)}
     paths = []
     for i, s in enumerate(sets):
-        seq = _subpath_sequence(n_y, tau_adj, s)
+        seq = _subpath_sequence(tau.adjacency, s)
         if seq is None:
             raise ValidationError(f"Y_{i + 1} does not induce a path in the host tree")
         paths.append(seq)

@@ -5,9 +5,10 @@ sequence of edge indices, with one face marked as the outer face. Validation
 requires every edge to lie on exactly two distinct faces (so the dual graph is
 loop-free) and checks Euler's formula, which pins the face count.
 
-The dual graph keeps the primal edge indexing: dual edge i joins the two faces
-incident to primal edge i. Parallel dual edges are allowed (two faces may
-share several edges), which is why the dual is not a plain ``Graph``.
+A plane graph is its own dual: dual edge i crosses primal edge i and joins
+the two faces in ``edge_faces[i]``. Parallel dual edges are allowed (two
+faces may share several edges), which is why the dual is kept as per-face
+adjacency and not as a plain ``Graph``.
 
 Face levels are breadth-first distances from the outer face in the dual. For
 the grid families the maximum level has a closed form, and a face of level
@@ -15,7 +16,8 @@ the grid families the maximum level has a closed form, and a face of level
 path connecting the endpoints of an edge on a deep face must escape past
 ``lam`` nested face rings. The bound is ``2*lam + 1`` for the rectangular
 grid and ``lam + 1`` for the triangulated families. Each grid's embedding,
-closed form and bound rule sit in its record in ``constructions.FAMILIES``.
+closed form and bound rule sit in its record in ``families``; this module
+knows no family.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
-from .families import FamilySpec, family_of
 from .graphs import (
     DomainError,
     Graph,
-    ParameterError,
     SpanningTree,
     ValidationError,
     is_connected,
@@ -64,6 +64,15 @@ class PlaneGraph:
     @property
     def bounded_faces(self) -> list[int]:
         return [f for f in range(len(self.faces)) if f != self.outer_face]
+
+    @cached_property
+    def face_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per face, the (edge index, other face) pairs of the dual, edge-sorted."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_faces)]
+        for e, (fa, fb) in enumerate(self.edge_faces):
+            adj[fa].append((e, fb))
+            adj[fb].append((e, fa))
+        return tuple(tuple(a) for a in adj)
 
 
 def _face_vertices(graph: Graph, face: tuple[int, ...], label: str) -> tuple[int, ...]:
@@ -143,36 +152,6 @@ def make_plane_graph(
 
 
 @dataclass(frozen=True)
-class DualGraph:
-    """Faces as vertices; dual edge i crosses primal edge i (same indexing)."""
-
-    plane: PlaneGraph
-    endpoints: tuple[tuple[int, int], ...]
-    edge_correspondence: tuple[int, ...]
-
-    @property
-    def n_faces(self) -> int:
-        return self.plane.n_faces
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per face, the incident (edge index, other face) pairs, edge-sorted."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_faces)]
-        for e, (fa, fb) in enumerate(self.endpoints):
-            adj[fa].append((e, fb))
-            adj[fb].append((e, fa))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-
-def dual(plane: PlaneGraph) -> DualGraph:
-    return DualGraph(
-        plane=plane,
-        endpoints=plane.edge_faces,
-        edge_correspondence=tuple(range(plane.graph.m)),
-    )
-
-
-@dataclass(frozen=True)
 class FaceLevels:
     """Breadth-first face distances from the outer face in the dual graph."""
 
@@ -187,14 +166,13 @@ class FaceLevels:
 
 def face_levels(plane: PlaneGraph) -> FaceLevels:
     """BFS over the dual from the outer face; neighbors in edge-index order."""
-    dg = dual(plane)
     level = [-1] * plane.n_faces
     pred = [-1] * plane.n_faces
     level[plane.outer_face] = 0
     queue = deque([plane.outer_face])
     while queue:
         f = queue.popleft()
-        for _, other in dg.adjacency[f]:
+        for _, other in plane.face_adjacency[f]:
             if level[other] == -1:
                 level[other] = level[f] + 1
                 pred[other] = f
@@ -203,25 +181,11 @@ def face_levels(plane: PlaneGraph) -> FaceLevels:
 
 
 # ---------------------------------------------------------------------------
-# Analytic embeddings for the grid families and the cube
+# The cube
 
 
-def embed_grid(spec: FamilySpec | Cube, graph: Graph | None = None) -> PlaneGraph:
-    """Plane embedding of a grid family or the cube, outer face listed last.
-
-    The grids take their face order and face labels from their family record
-    and embed ``graph`` when the caller has built the grid already. Cube: the
-    six axis-aligned faces, the outer face being bit 0 = 0.
-    """
-    if isinstance(spec, Cube):
-        return _embed_cube()
-    fam = family_of(spec)
-    if fam is None or fam.embed is None:
-        raise ParameterError(f"no analytic embedding for {spec!r}")
-    return fam.embed(spec, fam.graph(spec)[0] if graph is None else graph)
-
-
-def _embed_cube() -> PlaneGraph:
+def embed_cube() -> PlaneGraph:
+    """The cube's six axis-aligned faces, the outer face being bit 0 = 0."""
     edges = []
     for u in range(8):
         for bit in range(3):
@@ -250,34 +214,6 @@ def _embed_cube() -> PlaneGraph:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms and lower bounds
-
-
-def lambda_max_formula(spec: FamilySpec) -> int:
-    """Closed-form maximum face level of the grid families."""
-    fam = family_of(spec)
-    if fam is None or fam.lambda_max is None:
-        raise ParameterError(f"no face-level formula for {spec!r}")
-    return fam.lambda_max(spec)
-
-
-def stretch_lower_bound(plane: PlaneGraph) -> int:
-    """Stretch lower bound certified by the deepest face level.
-
-    Every spanning tree of the rectangular grid has stretch at least
-    2*lambda_max + 1; for the triangulated families the bound is
-    lambda_max + 1. Embeddings without one of these family tags are refused:
-    no bound is established for them.
-    """
-    fam = family_of(plane.family)
-    if fam is None or fam.level_bound is None:
-        raise DomainError(
-            f"no face-level stretch bound is established for family {plane.family!r}"
-        )
-    return fam.level_bound(face_levels(plane).lambda_max)
-
-
-# ---------------------------------------------------------------------------
 # Tree-cotree duality
 
 
@@ -285,38 +221,31 @@ def stretch_lower_bound(plane: PlaneGraph) -> int:
 class DualSpanningTree:
     """A spanning tree of the dual graph given by primal edge indices."""
 
-    dual_graph: DualGraph
+    plane: PlaneGraph
     tree_edges: frozenset[int]
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.dual_graph.n_faces)]
-        for e in sorted(self.tree_edges):
-            fa, fb = self.dual_graph.endpoints[e]
-            adj[fa].append((e, fb))
-            adj[fb].append((e, fa))
-        return tuple(tuple(a) for a in adj)
+        return tuple(
+            tuple(p for p in pairs if p[0] in self.tree_edges)
+            for pairs in self.plane.face_adjacency
+        )
 
 
-def is_dual_spanning_tree(dg: DualGraph, edge_set: frozenset[int]) -> tuple[bool, str | None]:
+def is_dual_spanning_tree(plane: PlaneGraph, edge_set: frozenset[int]) -> tuple[bool, str | None]:
     """Check that the dual edges with these indices span all faces as a tree."""
-    nf = dg.n_faces
+    nf = plane.n_faces
     for e in edge_set:
-        if not (0 <= e < len(dg.endpoints)):
+        if not (0 <= e < plane.graph.m):
             return False, f"edge index {e} out of range"
     if len(edge_set) != nf - 1:
         return False, f"{len(edge_set)} edges cannot span {nf} faces"
-    seen = {dg.plane.outer_face}
-    stack = [dg.plane.outer_face]
-    adj: dict[int, list[int]] = {}
-    for e in edge_set:
-        fa, fb = dg.endpoints[e]
-        adj.setdefault(fa, []).append(fb)
-        adj.setdefault(fb, []).append(fa)
+    seen = {plane.outer_face}
+    stack = [plane.outer_face]
     while stack:
         f = stack.pop()
-        for other in adj.get(f, ()):
-            if other not in seen:
+        for e, other in plane.face_adjacency[f]:
+            if e in edge_set and other not in seen:
                 seen.add(other)
                 stack.append(other)
     if len(seen) != nf:
@@ -332,12 +261,11 @@ def cotree_dual_tree(plane: PlaneGraph, tree: SpanningTree) -> DualSpanningTree:
     """
     if tree.host is not plane.graph and tree.host != plane.graph:
         raise ValidationError("the spanning tree belongs to a different graph")
-    dg = dual(plane)
     cotree = frozenset(tree.cotree_edges)
-    ok, reason = is_dual_spanning_tree(dg, cotree)
+    ok, reason = is_dual_spanning_tree(plane, cotree)
     if not ok:
         raise ValidationError(f"cotree is not a dual spanning tree: {reason}")
-    return DualSpanningTree(dual_graph=dg, tree_edges=cotree)
+    return DualSpanningTree(plane=plane, tree_edges=cotree)
 
 
 def overlay_dot(
@@ -378,8 +306,7 @@ def dual_fundamental_cut(dtree: DualSpanningTree, edge: int) -> frozenset[int]:
     """
     if edge not in dtree.tree_edges:
         raise DomainError(f"edge {edge} is not an edge of the dual spanning tree")
-    dg = dtree.dual_graph
-    fa, fb = dg.endpoints[edge]
+    fa, fb = dtree.plane.edge_faces[edge]
     comp = {fa}
     stack = [fa]
     while stack:
@@ -390,6 +317,6 @@ def dual_fundamental_cut(dtree: DualSpanningTree, edge: int) -> frozenset[int]:
                 stack.append(other)
     return frozenset(
         e
-        for e, (x, y) in enumerate(dg.endpoints)
+        for e, (x, y) in enumerate(dtree.plane.edge_faces)
         if (x in comp) != (y in comp)
     )

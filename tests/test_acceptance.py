@@ -10,16 +10,6 @@ import random
 import time
 from itertools import combinations_with_replacement, permutations
 
-from treestretch.constructions import (
-    classify_split,
-    optimal_construction,
-    petersen_tree,
-    rect_grid_tree,
-    sigma_formula,
-    split_tree,
-    tri_grid_tree,
-    tri_rect_grid_tree,
-)
 from treestretch.convex import construct_tree
 from treestretch.families import (
     Complete,
@@ -32,10 +22,20 @@ from treestretch.families import (
     TriGrid,
     TriRectGrid,
     Wheel,
+    classify_split,
+    embed_grid,
+    lambda_max_formula,
     make,
     make_split,
+    optimal_construction,
+    petersen_tree,
     random_convex_spec,
     random_glued_blocks,
+    rect_grid_tree,
+    sigma_formula,
+    split_tree,
+    tri_grid_tree,
+    tri_rect_grid_tree,
 )
 from treestretch.graphs import (
     blocks,
@@ -50,9 +50,7 @@ from treestretch.planar import (
     Cube,
     cotree_dual_tree,
     dual_fundamental_cut,
-    embed_grid,
     face_levels,
-    lambda_max_formula,
 )
 from treestretch.solver import (
     count_spanning_trees_kirchhoff,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from treestretch import constructions
+from treestretch import families
 from treestretch.cli import main
 
 
@@ -95,23 +95,37 @@ class TestConstruct:
         assert report["lower_bound_girth"] == 4
 
     @pytest.mark.parametrize(
-        "words,girth_bound",
-        [(["rect-grid", "30", "30"], 3), (["tri-grid", "41"], 2), (["tri-rect-grid", "30", "30"], 2)],
-        ids=["rect-grid", "tri-grid", "tri-rect-grid"],
+        "argv,girth_bound",
+        [
+            (["construct", "rect-grid", "30", "30"], 3),
+            (["construct", "tri-grid", "41"], 2),
+            (["construct", "tri-rect-grid", "30", "30"], 2),
+            (["levels", "tri-grid", "4"], None),
+        ],
+        ids=["rect-grid", "tri-grid", "tri-rect-grid", "levels-tri-grid"],
     )
-    def test_large_grid_bounds_with_one_embedding(self, capsys, monkeypatch, words, girth_bound):
-        embeddings = []
-        make_plane_graph = constructions.make_plane_graph
+    def test_large_grid_bounds_with_one_embedding(self, capsys, monkeypatch, argv, girth_bound):
+        builds, embeddings = [], []
+        make_graph, make_plane_graph = families.make_graph, families.make_plane_graph
 
-        def counted(*args, **kwargs):
+        def counted_build(*args, **kwargs):
+            builds.append(args[0])
+            return make_graph(*args, **kwargs)
+
+        def counted_embedding(*args, **kwargs):
             embeddings.append(args[3])
             return make_plane_graph(*args, **kwargs)
 
-        monkeypatch.setattr(constructions, "make_plane_graph", counted)
-        report = run_json(capsys, "construct", *words)
-        assert report["lower_bound_girth"] == girth_bound
-        assert report["lower_bound_level"] == report["sigma_formula"] == report["sigma_measured"]
-        assert embeddings == [words[0]]
+        monkeypatch.setattr(families, "make_graph", counted_build)
+        monkeypatch.setattr(families, "make_plane_graph", counted_embedding)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(builds) == 1
+        assert embeddings == [argv[1]]
+        if girth_bound is not None:
+            report = json.loads(out)
+            assert report["lower_bound_girth"] == girth_bound
+            assert report["lower_bound_level"] == report["sigma_formula"] == report["sigma_measured"]
 
 
 class TestSolve:

@@ -4,21 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from treestretch.constructions import (
-    _tri_crossing,
-    classify_split,
-    double_star_tree,
-    multipartite_tree,
-    optimal_construction,
-    petersen_tree,
-    rect_grid_tree,
-    sigma_formula,
-    split_tree,
-    star_tree,
-    tri_grid_tree,
-    tri_rect_grid_tree,
-)
 from treestretch.families import (
+    _tri_crossing,
     Chain,
     Complete,
     CompleteBipartite,
@@ -32,9 +19,21 @@ from treestretch.families import (
     TriGrid,
     TriRectGrid,
     Wheel,
+    classify_split,
+    double_star_tree,
+    embed_grid,
     make,
     make_generalized_convex,
     make_split,
+    multipartite_tree,
+    optimal_construction,
+    petersen_tree,
+    rect_grid_tree,
+    sigma_formula,
+    split_tree,
+    star_tree,
+    tri_grid_tree,
+    tri_rect_grid_tree,
 )
 from treestretch.graphs import (
     DomainError,
@@ -43,7 +42,7 @@ from treestretch.graphs import (
     make_graph,
     stretch,
 )
-from treestretch.planar import embed_grid, face_levels
+from treestretch.planar import face_levels
 from treestretch.solver import sigma_exact
 
 

@@ -6,19 +6,22 @@ from collections import Counter
 
 import pytest
 
-from treestretch.families import RectGrid, TriGrid, TriRectGrid
+from treestretch.families import (
+    RectGrid,
+    TriGrid,
+    TriRectGrid,
+    embed_grid,
+    lambda_max_formula,
+    stretch_lower_bound,
+)
 from treestretch.planar import (
     Cube,
     cotree_dual_tree,
-    dual,
     dual_fundamental_cut,
-    embed_grid,
     face_levels,
     is_dual_spanning_tree,
-    lambda_max_formula,
     make_plane_graph,
     overlay_dot,
-    stretch_lower_bound,
 )
 from treestretch.graphs import (
     DomainError,
@@ -177,19 +180,21 @@ class TestStretchLowerBound:
 class TestDualGraph:
     def test_cube_dual_is_octahedron(self):
         plane = embed_grid(Cube())
-        dg = dual(plane)
-        assert dg.n_faces == 6
-        degrees = [len(dg.adjacency[f]) for f in range(6)]
+        assert plane.n_faces == 6
+        degrees = [len(plane.face_adjacency[f]) for f in range(6)]
         assert degrees == [4] * 6
-        neighbor_sets = [{other for _, other in dg.adjacency[f]} for f in range(6)]
+        neighbor_sets = [{other for _, other in plane.face_adjacency[f]} for f in range(6)]
         for f in range(6):
             assert f not in neighbor_sets[f]
             assert len(neighbor_sets[f]) == 4  # opposite face missing, no multi-edges
 
-    def test_edge_correspondence_is_identity(self):
-        plane = embed_grid(RectGrid(2, 2))
-        dg = dual(plane)
-        assert dg.edge_correspondence == tuple(range(plane.graph.m))
+    def test_face_adjacency_follows_edge_faces_in_edge_order(self):
+        for plane in (embed_grid(RectGrid(3, 4)), embed_grid(TriGrid(3))):
+            for f, pairs in enumerate(plane.face_adjacency):
+                edges = [e for e, _ in pairs]
+                assert edges == sorted(edges)
+                assert all({f, other} == set(plane.edge_faces[e]) for e, other in pairs)
+            assert sum(len(pairs) for pairs in plane.face_adjacency) == 2 * plane.graph.m
 
 
 class TestDuality:
@@ -202,8 +207,7 @@ class TestDuality:
 
     def test_not_a_dual_tree(self):
         plane = embed_grid(RectGrid(2, 3))
-        dg = dual(plane)
-        ok, reason = is_dual_spanning_tree(dg, frozenset({0}))
+        ok, reason = is_dual_spanning_tree(plane, frozenset({0}))
         assert not ok and "cannot span" in reason
 
     def test_cut_requires_dual_tree_edge(self):
