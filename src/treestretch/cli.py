@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from operator import itemgetter
 from typing import Sequence
 
 from . import convex as convex_mod
@@ -97,6 +98,8 @@ def _read_json(path: str) -> dict:
 
 def cmd_generate(args) -> int:
     if args.family == "random-blocks":
+        if args.params:
+            raise ParameterError("random-blocks takes no parameters (use --seed)")
         g = random_glued_blocks(random.Random(args.seed))
         meta = {"family": "random-blocks", "seed": args.seed}
     else:
@@ -113,7 +116,7 @@ def cmd_generate(args) -> int:
 def _lower_bounds(spec: FamilySpec, g: Graph) -> tuple[int | None, int | None]:
     """The girth bound when ``g`` has a cycle, and the face-level bound of a plane grid."""
     girth_lb = lower_bound_girth(g) if g.m >= g.n else None
-    level_lb = stretch_lower_bound(embed_grid(spec, g)) if family_of(spec).embed else None
+    level_lb = stretch_lower_bound(embed_grid(spec, g)) if family_of(spec).cells else None
     return girth_lb, level_lb
 
 
@@ -199,10 +202,10 @@ def cmd_levels(args) -> int:
     else:
         spec = _parse_spec(args.family, args.params, seed=0)
         fam = family_of(spec)
-        if fam.embed is None:
+        if fam.cells is None:
             raise ParameterError(f"no embedding for family {args.family!r}")
         built = make(spec)
-        graph, coords, row_of = built.graph, built.meta["coordinates"], fam.level_row
+        graph, coords, row_of = built.graph, built.meta["coordinates"], itemgetter(fam.row_axis)
     plane = embed_grid(spec, graph)
     levels = face_levels(plane)
     if args.dual_dot:

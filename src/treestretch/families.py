@@ -3,8 +3,10 @@
 A family is a spec dataclass, which validates its parameters, and a record in
 ``FAMILIES``, which pairs the family's command-line parsers and its graph
 generator with the closed-form minimum stretch and an explicit tree attaining
-it; the plane grid families add their embedding, the closed-form maximum face
-level and the stretch bound that level certifies. ``make``,
+it. A plane grid gives its cells in place of a generator: its lattice points
+in vertex order and its faces as vertex cycles, from which both its graph and
+its embedding are derived; it adds the closed-form maximum face level and the
+stretch bound that level certifies. ``make``,
 ``sigma_formula``, ``optimal_construction``, ``embed_grid``,
 ``lambda_max_formula``, ``stretch_lower_bound`` and the command line all look
 the family up in ``FAMILIES``, so adding a family means one spec dataclass and
@@ -33,8 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .convex import ConvexInstance, construct_tree, instance_to_json, validate_instance
 from .graphs import (
@@ -232,23 +233,25 @@ class Family:
     with that name, the parameter words and the ``--seed``. ``graph`` returns
     the graph and its metadata; ``sigma`` and ``tree`` receive that graph and
     are only called when it is not a tree. ``describe`` gives the spec's
-    fields for reports. The plane grids also give ``embed`` (faces labelled
-    by lattice position), ``lambda_max`` (closed-form deepest face level),
-    ``level_bound`` (the stretch bound a face of that level certifies) and
-    ``level_row`` (the printed row of a face label in ``treestretch levels``).
+    fields for reports. A plane grid gives ``cells`` (its lattice points and
+    labelled faces, from which both its graph and its embedding follow) in
+    place of ``graph``, and ``row_axis`` (the coordinate of a point, or of a
+    face label, that names its row), ``lambda_max`` (closed-form deepest face
+    level) and ``level_bound`` (the stretch bound a face of that level
+    certifies).
     """
 
     name: str
     spec: type
     cli: Mapping[str, Parser]
-    graph: Callable[[FamilySpec], tuple[Graph, dict]]
     sigma: Callable[[FamilySpec, Graph], int]
     tree: Callable[[FamilySpec, Graph], SpanningTree]
+    graph: Callable[[FamilySpec], tuple[Graph, dict]] | None = None
     describe: Callable[[FamilySpec], dict] = asdict
-    embed: Callable[[FamilySpec, Graph], PlaneGraph] | None = None
+    cells: Callable[[FamilySpec], GridCells] | None = None
+    row_axis: int = 0
     lambda_max: Callable[[FamilySpec], int] | None = None
     level_bound: Callable[[int], int] | None = None
-    level_row: Callable[[tuple], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -345,11 +348,6 @@ def double_star_tree(g: Graph, x: int, y: int) -> SpanningTree:
     return spanning_tree_from_pairs(g, pairs)
 
 
-def _host(spec: FamilySpec, g: Graph | None) -> Graph:
-    """The graph of ``spec``: ``g`` when the caller built it already, else built now."""
-    return make(spec).graph if g is None else g
-
-
 # ---------------------------------------------------------------------------
 # Complete graphs, cycles, wheels, diamonds
 
@@ -404,19 +402,18 @@ def _bipartite_graph(spec: CompleteBipartite) -> tuple[Graph, dict]:
     return g, {"family": "bipartite", "parts": meta["parts"]}
 
 
-def multipartite_tree(spec: CompleteMultipartite, g: Graph | None = None) -> SpanningTree:
+def multipartite_tree(spec: CompleteMultipartite, g: Graph) -> SpanningTree:
     """Optimal tree for a complete multipartite graph with three or more parts.
 
     Parts may come in any order. The tree is rooted at the first vertex of the
     smallest part (the earliest of equal parts). If that part is a singleton,
     its vertex is adjacent to all others and the star gives stretch 2;
     otherwise a double star over it and the first vertex of the next-smallest
-    part gives stretch 3, which is optimal. ``g`` is the graph, if built.
+    part gives stretch 3, which is optimal. ``g`` is the graph of ``spec``.
     """
     parts = spec.parts
     if len(parts) < 3:
         raise ParameterError("use the bipartite construction for two parts")
-    g = _host(spec, g)
     smallest, next_smallest = sorted(range(len(parts)), key=parts.__getitem__)[:2]
     root = sum(parts[:smallest])
     if parts[smallest] == 1:
@@ -449,9 +446,8 @@ def _petersen_graph(spec: Petersen) -> tuple[Graph, dict]:
     return g, {"family": "petersen", "outer": list(range(5)), "inner": list(range(5, 10))}
 
 
-def petersen_tree(g: Graph | None = None) -> SpanningTree:
-    """An optimal (stretch 4) spanning tree of the Petersen graph ``g``, if built."""
-    g = _host(Petersen(), g)
+def petersen_tree(g: Graph) -> SpanningTree:
+    """An optimal (stretch 4) spanning tree of the Petersen graph ``g``."""
     tree = spanning_tree_from_pairs(g, _PETERSEN_TREE_PAIRS)
     assert stretch(g, tree).stretch == 4
     return tree
@@ -596,89 +592,96 @@ def _convex_graph(spec: GeneralizedConvex) -> tuple[Graph, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Plane grids. Faces are listed in the documented order with the outer face
-# last, and each bounded face is labelled by the lattice position of its
-# first vertex: (i, j) cells for the rectangular grid, (x, y, "up"/"down")
-# for the triangular grid, (x, y, "lower"/"upper") for the triangulated one.
+# Plane grids. Each grid is described once, by its cells, and both its graph
+# and its embedding come from that description (``_grid_graph`` and
+# ``embed_grid``). Faces are vertex cycles listed in the documented order with
+# the outer face last, and each bounded face is labelled by the lattice
+# position of the unit square it lies in: (i, j) cells for the rectangular
+# grid, (x, y, "up"/"down") for the triangular grid, (x, y, "lower"/"upper")
+# for the triangulated one.
+
+Point = tuple[int, int]
 
 
-def _grid_kinds(graph: Graph, coords: Sequence[tuple[int, int]]) -> list[str]:
-    kinds = []
-    for u, v in graph.edges:
-        (a, b), (c, d) = coords[u], coords[v]
-        if b == d:
-            kinds.append("horizontal")
-        elif a == c:
-            kinds.append("vertical")
-        else:
-            kinds.append("slant")
-    return kinds
+@dataclass(frozen=True)
+class GridCells:
+    """A plane grid: the lattice point of each vertex and the faces as vertex cycles.
+
+    ``points`` holds the lattice point of each vertex, in vertex order;
+    ``cells`` each bounded face as (label, vertex cycle), in face order;
+    ``outer`` the vertex cycle of the outer face, which comes last; ``size``
+    the grid's dimensions as its graph metadata reports them.
+    """
+
+    size: dict
+    points: list[Point]
+    cells: list[tuple[Hashable, tuple[int, ...]]]
+    outer: tuple[int, ...]
+
+    @property
+    def faces(self) -> list[tuple[int, ...]]:
+        return [cycle for _, cycle in self.cells] + [self.outer]
 
 
-def _edge_id(g: Graph) -> Callable[[int, int], int]:
-    return lambda a, b: g.edge_index[(a, b) if a < b else (b, a)]
+def _outline(corners: Sequence[Point], vertex: Callable[[Point], int]) -> tuple[int, ...]:
+    """The vertices along straight lattice lines from each corner to the next, cyclically."""
+    walk = []
+    for (a, b), (c, d) in zip(corners, [*corners[1:], corners[0]]):
+        da, db = (c > a) - (c < a), (d > b) - (d < b)
+        walk += [vertex((a + k * da, b + k * db)) for k in range(max(abs(c - a), abs(d - b)))]
+    return tuple(walk)
 
 
-def _rect_graph(spec: RectGrid) -> tuple[Graph, dict]:
-    m, n = spec.m, spec.n
-    coords = [(i, j) for i in range(m) for j in range(n)]
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            if j + 1 < n:
-                edges.append((i * n + j, i * n + j + 1))
-            if i + 1 < m:
-                edges.append((i * n + j, (i + 1) * n + j))
-    g = make_graph(m * n, edges)
-    kinds = []
-    for u, v in g.edges:
-        kinds.append("horizontal" if coords[u][0] == coords[v][0] else "vertical")
+def _grid_graph(fam: Family, grid: GridCells) -> tuple[Graph, dict]:
+    """The graph whose edges are the sides of the grid's faces, and its metadata.
+
+    An edge is horizontal when its ends share the coordinate on the record's
+    row axis, vertical when they share the other one, and slant otherwise.
+    """
+    sides = set()
+    for f in grid.faces:
+        a = f[-1]
+        for b in f:
+            sides.add((a, b) if a < b else (b, a))
+            a = b
+    g = make_graph(len(grid.points), sides)
+    row, col, points = fam.row_axis, 1 - fam.row_axis, grid.points
+    kinds = [
+        "horizontal" if points[u][row] == points[v][row]
+        else "vertical" if points[u][col] == points[v][col]
+        else "slant"
+        for u, v in g.edges
+    ]
     meta = {
-        "family": "rect-grid",
-        "rows": m,
-        "cols": n,
-        "coordinates": [list(c) for c in coords],
+        "family": fam.name,
+        **grid.size,
+        "coordinates": [list(p) for p in points],
         "edge_kinds": kinds,
     }
     return g, meta
 
 
-def _embed_rect(spec: RectGrid, g: Graph) -> PlaneGraph:
-    """Cells row-major."""
+def _rect_cells(spec: RectGrid) -> GridCells:
+    """Points (row i, column j) row-major; cells row-major."""
     m, n = spec.m, spec.n
-    eid = _edge_id(g)
-
-    def vid(i: int, j: int) -> int:
-        return i * n + j
-
-    faces, labels = [], []
+    cells = []
     for i in range(m - 1):
         for j in range(n - 1):
-            faces.append((
-                eid(vid(i, j), vid(i, j + 1)),
-                eid(vid(i, j + 1), vid(i + 1, j + 1)),
-                eid(vid(i + 1, j + 1), vid(i + 1, j)),
-                eid(vid(i + 1, j), vid(i, j)),
-            ))
-            labels.append((i, j))
-    outer = []
-    outer += [eid(vid(0, j), vid(0, j + 1)) for j in range(n - 1)]
-    outer += [eid(vid(i, n - 1), vid(i + 1, n - 1)) for i in range(m - 1)]
-    outer += [eid(vid(m - 1, j + 1), vid(m - 1, j)) for j in reversed(range(n - 1))]
-    outer += [eid(vid(i + 1, 0), vid(i, 0)) for i in reversed(range(m - 1))]
-    faces.append(tuple(outer))
-    return make_plane_graph(g, faces, len(faces) - 1, "rect-grid", [*labels, "outer"])
+            v = i * n + j  # (i, j); v + 1 is (i, j + 1) and v + n is (i + 1, j)
+            cells.append(((i, j), (v, v + 1, v + n + 1, v + n)))
+    points = [(i, j) for i in range(m) for j in range(n)]
+    outer = _outline(((0, 0), (0, n - 1), (m - 1, n - 1), (m - 1, 0)), lambda p: p[0] * n + p[1])
+    return GridCells({"rows": m, "cols": n}, points, cells, outer)
 
 
-def rect_grid_tree(spec: RectGrid, g: Graph | None = None) -> SpanningTree:
+def rect_grid_tree(spec: RectGrid, g: Graph) -> SpanningTree:
     """All vertical edges plus the horizontal row closest to the middle.
 
     Row (m-1)//2 keeps both escape distances at most floor(m/2), so the worst
     fundamental cycle has length 2*floor(m/2) + 2 and the stretch meets the
-    face-level lower bound 2*floor(m/2) + 1. ``g`` is the grid, if built.
+    face-level lower bound 2*floor(m/2) + 1. ``g`` is the grid of ``spec``.
     """
     m, n = spec.m, spec.n
-    g = _host(spec, g)
     r = (m - 1) // 2
     pairs = []
     for j in range(n):
@@ -692,56 +695,19 @@ def _tri_index(n: int) -> dict[tuple[int, int], int]:
     return {c: i for i, c in enumerate((x, y) for x in range(n + 1) for y in range(n + 1 - x))}
 
 
-def _tri_graph(spec: TriGrid) -> tuple[Graph, dict]:
+def _tri_cells(spec: TriGrid) -> GridCells:
+    """Points in lattice order (x, y), the upward triangle at (x, y) before the downward one."""
     n = spec.n
     index = _tri_index(n)
-    edges = []
-    for (x, y) in index:
-        for step in ((x + 1, y), (x, y + 1), (x + 1, y - 1)):
-            if step in index:
-                edges.append((index[(x, y)], index[step]))
-    g = make_graph(len(index), edges)
-    coords = list(index)
-    meta = {
-        "family": "tri-grid",
-        "n": n,
-        "coordinates": [list(c) for c in coords],
-        "edge_kinds": _grid_kinds(g, coords),
-    }
-    return g, meta
-
-
-def _embed_tri(spec: TriGrid, g: Graph) -> PlaneGraph:
-    """Lattice order (x, y) with the upward triangle at (x, y) before the downward one."""
-    n = spec.n
-    index = _tri_index(n)
-    eid = _edge_id(g)
-
-    def e(a: tuple[int, int], b: tuple[int, int]) -> int:
-        return eid(index[a], index[b])
-
-    faces, labels = [], []
-    for (x, y) in index:
+    cells = []
+    for (x, y), v in index.items():
         if x + y <= n - 1:
-            faces.append((
-                e((x, y), (x + 1, y)),
-                e((x + 1, y), (x, y + 1)),
-                e((x, y + 1), (x, y)),
-            ))
-            labels.append((x, y, "up"))
-        if x + y <= n - 2:
-            faces.append((
-                e((x + 1, y), (x + 1, y + 1)),
-                e((x + 1, y + 1), (x, y + 1)),
-                e((x, y + 1), (x + 1, y)),
-            ))
-            labels.append((x, y, "down"))
-    outer = []
-    outer += [e((x, 0), (x + 1, 0)) for x in range(n)]
-    outer += [e((n - t, t), (n - t - 1, t + 1)) for t in range(n)]
-    outer += [e((0, y + 1), (0, y)) for y in reversed(range(n))]
-    faces.append(tuple(outer))
-    return make_plane_graph(g, faces, len(faces) - 1, "tri-grid", [*labels, "outer"])
+            right, above = index[(x + 1, y)], index[(x, y + 1)]
+            cells.append(((x, y, "up"), (v, right, above)))
+            if x + y <= n - 2:
+                cells.append(((x, y, "down"), (right, index[(x + 1, y + 1)], above)))
+    outer = _outline(((0, 0), (n, 0), (0, n)), index.__getitem__)
+    return GridCells({"n": n}, list(index), cells, outer)
 
 
 def _tri_crossing(n: int) -> int:
@@ -758,17 +724,16 @@ def _tri_crossing(n: int) -> int:
     return (n + 1) // 3
 
 
-def tri_grid_tree(spec: TriGrid, g: Graph | None = None) -> SpanningTree:
+def tri_grid_tree(spec: TriGrid, g: Graph) -> SpanningTree:
     """Optimal tree for the triangular grid, routed around a deepest face.
 
     The deepest face, the first in face order, pins a full horizontal line
     and a full vertical line through its corner (:func:`_tri_crossing`);
     columns below the horizontal line, rows above it, and the two leftover
     corner regions are filled so every escape route to the crossing point
-    stays short. The stretch is ceil(2n/3) + 1. ``g`` is the grid, if built.
+    stays short. The stretch is ceil(2n/3) + 1. ``g`` is the grid of ``spec``.
     """
     n = spec.n
-    g = _host(spec, g)
     index = _tri_index(n)
     y_h = x_v = _tri_crossing(n)
 
@@ -797,70 +762,29 @@ def tri_grid_tree(spec: TriGrid, g: Graph | None = None) -> SpanningTree:
     return spanning_tree_from_pairs(g, sorted(pairs))
 
 
-def _tri_rect_graph(spec: TriRectGrid) -> tuple[Graph, dict]:
+def _tri_rect_cells(spec: TriRectGrid) -> GridCells:
+    """Points (x, y) row-major; cells row-major, lower-left triangle before upper-right."""
     m, n = spec.m, spec.n
-    coords = [(x, y) for y in range(m) for x in range(n)]
-    edges = []
-    for y in range(m):
-        for x in range(n):
-            if x + 1 < n:
-                edges.append((y * n + x, y * n + x + 1))
-            if y + 1 < m:
-                edges.append((y * n + x, (y + 1) * n + x))
-            if x + 1 < n and y - 1 >= 0:
-                edges.append((y * n + x, (y - 1) * n + x + 1))
-    g = make_graph(m * n, edges)
-    meta = {
-        "family": "tri-rect-grid",
-        "rows": m,
-        "cols": n,
-        "coordinates": [list(c) for c in coords],
-        "edge_kinds": _grid_kinds(g, coords),
-    }
-    return g, meta
-
-
-def _embed_tri_rect(spec: TriRectGrid, g: Graph) -> PlaneGraph:
-    """Cells row-major, lower-left triangle before upper-right."""
-    m, n = spec.m, spec.n
-    eid = _edge_id(g)
-
-    def vid(x: int, y: int) -> int:
-        return y * n + x
-
-    faces, labels = [], []
+    cells = []
     for y in range(m - 1):
         for x in range(n - 1):
-            faces.append((
-                eid(vid(x, y), vid(x + 1, y)),
-                eid(vid(x + 1, y), vid(x, y + 1)),
-                eid(vid(x, y + 1), vid(x, y)),
-            ))
-            faces.append((
-                eid(vid(x + 1, y), vid(x + 1, y + 1)),
-                eid(vid(x + 1, y + 1), vid(x, y + 1)),
-                eid(vid(x, y + 1), vid(x + 1, y)),
-            ))
-            labels += [(x, y, "lower"), (x, y, "upper")]
-    outer = []
-    outer += [eid(vid(x, 0), vid(x + 1, 0)) for x in range(n - 1)]
-    outer += [eid(vid(n - 1, y), vid(n - 1, y + 1)) for y in range(m - 1)]
-    outer += [eid(vid(x + 1, m - 1), vid(x, m - 1)) for x in reversed(range(n - 1))]
-    outer += [eid(vid(0, y + 1), vid(0, y)) for y in reversed(range(m - 1))]
-    faces.append(tuple(outer))
-    return make_plane_graph(g, faces, len(faces) - 1, "tri-rect-grid", [*labels, "outer"])
+            v = y * n + x  # (x, y); v + 1 is (x + 1, y) and v + n is (x, y + 1)
+            cells.append(((x, y, "lower"), (v, v + 1, v + n)))
+            cells.append(((x, y, "upper"), (v + 1, v + n + 1, v + n)))
+    points = [(x, y) for y in range(m) for x in range(n)]
+    outer = _outline(((0, 0), (n - 1, 0), (n - 1, m - 1), (0, m - 1)), lambda p: p[1] * n + p[0])
+    return GridCells({"rows": m, "cols": n}, points, cells, outer)
 
 
-def tri_rect_grid_tree(spec: TriRectGrid, g: Graph | None = None) -> SpanningTree:
+def tri_rect_grid_tree(spec: TriRectGrid, g: Graph) -> SpanningTree:
     """Optimal tree for the triangulated rectangular grid (stretch m).
 
     All vertical edges are kept. For odd m the middle horizontal row links the
     columns; for even m the slant just below the middle does, which balances
     the two escape distances that an odd middle row cannot. ``g`` is the
-    grid, if built.
+    grid of ``spec``.
     """
     m, n = spec.m, spec.n
-    g = _host(spec, g)
 
     def vid(x: int, y: int) -> int:
         return y * n + x
@@ -965,50 +889,49 @@ def random_glued_blocks(
 
 
 FAMILIES: tuple[Family, ...] = (
-    Family("complete", Complete, {"complete": _ints(1, Complete)}, _complete_graph,
+    Family("complete", Complete, {"complete": _ints(1, Complete)}, graph=_complete_graph,
            sigma=lambda s, g: 2, tree=lambda s, g: star_tree(g, 0)),
-    Family("cycle", Cycle, {"cycle": _ints(1, Cycle)}, _cycle_graph,
+    Family("cycle", Cycle, {"cycle": _ints(1, Cycle)}, graph=_cycle_graph,
            sigma=lambda s, g: s.n - 1,
            tree=lambda s, g: spanning_tree_from_pairs(g, [(i, i + 1) for i in range(s.n - 1)])),
-    Family("wheel", Wheel, {"wheel": _ints(1, Wheel)}, _wheel_graph,
+    Family("wheel", Wheel, {"wheel": _ints(1, Wheel)}, graph=_wheel_graph,
            sigma=lambda s, g: 2, tree=lambda s, g: star_tree(g, 0)),
-    Family("diamond", Diamond, {"diamond": _ints(1, Diamond)}, _diamond_graph,
+    Family("diamond", Diamond, {"diamond": _ints(1, Diamond)}, graph=_diamond_graph,
            sigma=lambda s, g: 2, tree=lambda s, g: star_tree(g, 0)),
     Family("complete-bipartite", CompleteBipartite,
-           {"complete-bipartite": _ints(2, CompleteBipartite)}, _bipartite_graph,
+           {"complete-bipartite": _ints(2, CompleteBipartite)}, graph=_bipartite_graph,
            sigma=lambda s, g: 3, tree=lambda s, g: double_star_tree(g, 0, s.m)),
     Family("complete-multipartite", CompleteMultipartite,
            {"complete-multipartite": _ints(None, lambda *parts: CompleteMultipartite(parts))},
-           _multipartite_graph,
+           graph=_multipartite_graph,
            sigma=lambda s, g: 2 if len(s.parts) > 2 and min(s.parts) == 1 else 3,
            tree=_multipartite_tree),
-    Family("petersen", Petersen, {"petersen": _no_words(lambda rng: Petersen())}, _petersen_graph,
-           sigma=lambda s, g: 4, tree=lambda s, g: petersen_tree(g)),
+    Family("petersen", Petersen, {"petersen": _no_words(lambda rng: Petersen())},
+           graph=_petersen_graph, sigma=lambda s, g: 4, tree=lambda s, g: petersen_tree(g)),
     Family("split", Split,
            {"split": _parse_split, "random-split": _no_words(random_split_spec, " (use --seed)")},
-           _split_graph,
+           graph=_split_graph,
            sigma=lambda s, g: classify_split(g, *_split_sides(s, g)).sigma,
            tree=lambda s, g: split_tree(g, *_split_sides(s, g)),
            describe=lambda s: {"clique_size": s.clique_size,
                                "y_adjacency": [sorted(y) for y in s.y_adjacency]}),
-    Family("chain", Chain, {"chain": _parse_chain}, _chain_graph,
+    Family("chain", Chain, {"chain": _parse_chain}, graph=_chain_graph,
            sigma=lambda s, g: 3, tree=lambda s, g: construct_tree(chain_instance(s))),
     Family("generalized-convex", GeneralizedConvex,
-           {"random-convex": _no_words(random_convex_spec, " (use --seed)")}, _convex_graph,
+           {"random-convex": _no_words(random_convex_spec, " (use --seed)")}, graph=_convex_graph,
            sigma=lambda s, g: 3, tree=lambda s, g: construct_tree(s.instance),
            describe=lambda s: instance_to_json(s.instance)),
-    Family("rect-grid", RectGrid, {"rect-grid": _ints(2, RectGrid)}, _rect_graph,
+    Family("rect-grid", RectGrid, {"rect-grid": _ints(2, RectGrid)}, cells=_rect_cells, row_axis=0,
            sigma=lambda s, g: 2 * (s.m // 2) + 1, tree=rect_grid_tree,
-           embed=_embed_rect, lambda_max=lambda s: s.m // 2,
-           level_bound=lambda lam: 2 * lam + 1, level_row=itemgetter(0)),
-    Family("tri-grid", TriGrid, {"tri-grid": _ints(1, TriGrid)}, _tri_graph,
+           lambda_max=lambda s: s.m // 2, level_bound=lambda lam: 2 * lam + 1),
+    Family("tri-grid", TriGrid, {"tri-grid": _ints(1, TriGrid)}, cells=_tri_cells, row_axis=1,
            sigma=lambda s, g: (2 * s.n + 2) // 3 + 1, tree=tri_grid_tree,
-           embed=_embed_tri, lambda_max=lambda s: (2 * s.n + 2) // 3,  # ceil(2n/3)
-           level_bound=lambda lam: lam + 1, level_row=itemgetter(1)),
-    Family("tri-rect-grid", TriRectGrid, {"tri-rect-grid": _ints(2, TriRectGrid)}, _tri_rect_graph,
+           lambda_max=lambda s: (2 * s.n + 2) // 3,  # ceil(2n/3)
+           level_bound=lambda lam: lam + 1),
+    Family("tri-rect-grid", TriRectGrid, {"tri-rect-grid": _ints(2, TriRectGrid)},
+           cells=_tri_rect_cells, row_axis=1,
            sigma=lambda s, g: s.m, tree=tri_rect_grid_tree,
-           embed=_embed_tri_rect, lambda_max=lambda s: s.m - 1,
-           level_bound=lambda lam: lam + 1, level_row=itemgetter(1)),
+           lambda_max=lambda s: s.m - 1, level_bound=lambda lam: lam + 1),
 )
 
 
@@ -1051,21 +974,14 @@ def make(spec: FamilySpec) -> FamilyGraph:
     fam = family_of(spec)
     if fam is None:
         raise ParameterError(f"unknown family spec: {spec!r}")
+    if fam.cells is not None:
+        return FamilyGraph(spec, *_grid_graph(fam, fam.cells(spec)))
     return FamilyGraph(spec, *fam.graph(spec))
 
 
 def make_split(clique_size: int, y_adjacency: Sequence[Iterable[int]]) -> FamilyGraph:
     """Split graph from explicit Y-neighbor sets; X first, Y after."""
     return make(Split(clique_size, tuple(frozenset(s) for s in y_adjacency)))
-
-
-def make_generalized_convex(
-    n_y: int,
-    tau_edges: Iterable[Sequence[int]],
-    sigma: Sequence[Iterable[int]],
-) -> ConvexInstance:
-    """Validate a host-tree instance and build its bipartite graph."""
-    return validate_instance(n_y, tau_edges, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,16 +991,19 @@ def make_generalized_convex(
 def embed_grid(spec: FamilySpec | Cube, graph: Graph | None = None) -> PlaneGraph:
     """Plane embedding of a grid family or the cube, outer face listed last.
 
-    The grids take their face order and face labels from their family record
-    and embed ``graph`` when the caller has built the grid already. Cube: the
-    six axis-aligned faces, the outer face being bit 0 = 0.
+    A grid's faces, their order and their labels come from the cells of its
+    family record; ``graph`` is embedded when the caller has built the grid
+    already. Cube: the six axis-aligned faces, the outer face being bit 0 = 0.
     """
     if isinstance(spec, Cube):
         return embed_cube()
     fam = family_of(spec)
-    if fam is None or fam.embed is None:
+    if fam is None or fam.cells is None:
         raise ParameterError(f"no analytic embedding for {spec!r}")
-    return fam.embed(spec, fam.graph(spec)[0] if graph is None else graph)
+    grid = fam.cells(spec)
+    labels = [label for label, _ in grid.cells] + ["outer"]
+    g = make(spec).graph if graph is None else graph
+    return make_plane_graph(g, grid.faces, len(labels) - 1, fam.name, labels)
 
 
 def lambda_max_formula(spec: FamilySpec) -> int:

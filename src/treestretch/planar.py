@@ -1,9 +1,10 @@
 """Plane embeddings, dual graphs, and face-level lower bounds.
 
-A plane graph is stored combinatorially: each face is a cyclic walk given as a
-sequence of edge indices, with one face marked as the outer face. Validation
-requires every edge to lie on exactly two distinct faces (so the dual graph is
-loop-free) and checks Euler's formula, which pins the face count.
+A plane graph is stored combinatorially: each face is a vertex cycle, whose
+sides are the edges joining consecutive vertices (the last vertex to the
+first), with one face marked as the outer face. Validation requires every edge
+to lie on exactly two distinct faces (so the dual graph is loop-free) and
+checks Euler's formula, which pins the face count.
 
 A plane graph is its own dual: dual edge i crosses primal edge i and joins
 the two faces in ``edge_faces[i]``. Parallel dual edges are allowed (two
@@ -15,9 +16,9 @@ the grid families the maximum level has a closed form, and a face of level
 ``lam`` forces a lower bound on the stretch of every spanning tree: any tree
 path connecting the endpoints of an edge on a deep face must escape past
 ``lam`` nested face rings. The bound is ``2*lam + 1`` for the rectangular
-grid and ``lam + 1`` for the triangulated families. Each grid's embedding,
-closed form and bound rule sit in its record in ``families``; this module
-knows no family.
+grid and ``lam + 1`` for the triangulated families. Each grid's cells (from
+which its faces come), closed form and bound rule sit in its record in
+``families``; this module knows no family.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Cube:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """A graph with a combinatorial embedding: faces as cyclic edge walks.
+    """A graph with a combinatorial embedding: faces as vertex cycles.
 
     ``labels`` names each face: the grid embeddings label faces by their
     lattice position, other embeddings by face index.
@@ -75,32 +76,6 @@ class PlaneGraph:
         return tuple(tuple(a) for a in adj)
 
 
-def _face_vertices(graph: Graph, face: tuple[int, ...], label: str) -> tuple[int, ...]:
-    """Vertex sequence of a closed face walk, or ValidationError."""
-    if len(face) < 3:
-        raise ValidationError(f"{label} has fewer than three edges")
-    for e in face:
-        if not (0 <= e < graph.m):
-            raise ValidationError(f"{label} uses edge index {e}, out of range")
-    for start in graph.edges[face[0]]:
-        cur = start
-        seq = [start]
-        ok = True
-        for e in face:
-            u, v = graph.edges[e]
-            if cur == u:
-                cur = v
-            elif cur == v:
-                cur = u
-            else:
-                ok = False
-                break
-            seq.append(cur)
-        if ok and cur == start:
-            return tuple(seq[:-1])
-    raise ValidationError(f"{label} is not a closed walk")
-
-
 def make_plane_graph(
     graph: Graph,
     faces: Iterable[Iterable[int]],
@@ -110,11 +85,14 @@ def make_plane_graph(
 ) -> PlaneGraph:
     """Validate a combinatorial embedding and assemble the plane graph.
 
-    Checks: the graph is connected, every face is a closed walk, every edge
-    lies on exactly two distinct faces, and the face count satisfies Euler's
-    formula f = m - n + 2. ``labels`` default to the face indices.
+    Each face is a vertex cycle. Checks: the graph is connected, the outer
+    face index is in range, there is one label per face, every face has at
+    least three vertices, consecutive vertices of a face (the last and the
+    first too) are adjacent, every edge lies on exactly two distinct faces,
+    and the face count satisfies Euler's formula f = m - n + 2. ``labels``
+    default to the face indices.
     """
-    face_tuples = tuple(tuple(int(e) for e in f) for f in faces)
+    face_tuples = tuple(tuple(int(v) for v in f) for f in faces)
     labels = tuple(range(len(face_tuples)) if labels is None else labels)
     if len(labels) != len(face_tuples):
         raise ValidationError(f"{len(labels)} labels for {len(face_tuples)} faces")
@@ -122,16 +100,22 @@ def make_plane_graph(
         raise ValidationError("plane graphs must be connected")
     if not (0 <= outer_face < len(face_tuples)):
         raise ValidationError(f"outer face index {outer_face} out of range")
-    for k, f in enumerate(face_tuples):
-        _face_vertices(graph, f, f"face {k}")
+    edge_index = graph.edge_index
     incident: list[list[int]] = [[] for _ in range(graph.m)]
     for k, f in enumerate(face_tuples):
-        for e in f:
+        if len(f) < 3:
+            raise ValidationError(f"face {k} has fewer than three vertices")
+        a = f[-1]
+        for b in f:
+            e = edge_index.get((a, b) if a < b else (b, a))
+            if e is None:
+                raise ValidationError(f"face {k} steps from {a} to {b}, which is not an edge")
             incident[e].append(k)
+            a = b
     for e, facelist in enumerate(incident):
         if len(facelist) != 2:
             raise ValidationError(
-                f"edge {e} lies on {len(facelist)} face walk(s), expected exactly 2"
+                f"edge {e} lies on {len(facelist)} face side(s), expected exactly 2"
             )
         if facelist[0] == facelist[1]:
             raise ValidationError(f"edge {e} is a bridge (both sides on face {facelist[0]})")
@@ -193,23 +177,12 @@ def embed_cube() -> PlaneGraph:
             if u < v:
                 edges.append((u, v))
     g = make_graph(8, edges)
-
-    def eid(a: int, b: int) -> int:
-        return g.edge_index[(a, b) if a < b else (b, a)]
-
     gray = [(0, 0), (0, 1), (1, 1), (1, 0)]
     faces = []
     for axis in range(3):
         o1, o2 = [b for b in range(3) if b != axis]
         for value in (0, 1):
-            corners = [
-                (value << axis) | (g1 << o1) | (g2 << o2) for g1, g2 in gray
-            ]
-            faces.append(
-                tuple(
-                    eid(corners[k], corners[(k + 1) % 4]) for k in range(4)
-                )
-            )
+            faces.append(tuple((value << axis) | (g1 << o1) | (g2 << o2) for g1, g2 in gray))
     return make_plane_graph(g, faces, 0, family="cube")
 
 

@@ -66,7 +66,7 @@ def test_criterion_01_petersen_sigma_4_over_2000_trees():
     assert res.sigma == 4
     assert res.trees_enumerated == 2000
     assert count_spanning_trees_kirchhoff(g) == 2000
-    assert stretch(g, petersen_tree()).stretch == 4
+    assert stretch(g, petersen_tree(g)).stretch == 4
     assert time.perf_counter() - start < 5.0
 
 
@@ -176,7 +176,7 @@ def test_criterion_06_rect_grid_formula_and_levels():
         for n in range(m, 9):
             spec = RectGrid(m, n)
             g = make(spec).graph
-            assert stretch(g, rect_grid_tree(spec)).stretch == 2 * (m // 2) + 1
+            assert stretch(g, rect_grid_tree(spec, g)).stretch == 2 * (m // 2) + 1
     for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (2, 4)]:
         spec = RectGrid(m, n)
         assert sigma_exact(make(spec).graph).sigma == 2 * (m // 2) + 1
@@ -191,7 +191,7 @@ def test_criterion_07_tri_grid_formula_and_levels():
     for n in range(1, 9):
         spec = TriGrid(n)
         g = make(spec).graph
-        assert stretch(g, tri_grid_tree(spec)).stretch == (2 * n + 2) // 3 + 1
+        assert stretch(g, tri_grid_tree(spec, g)).stretch == (2 * n + 2) // 3 + 1
     for n in range(1, 4):
         spec = TriGrid(n)
         assert sigma_exact(make(spec).graph).sigma == (2 * n + 2) // 3 + 1
@@ -206,7 +206,7 @@ def test_criterion_08_tri_rect_grid_formula_and_levels():
         for n in range(m, 9):
             spec = TriRectGrid(m, n)
             g = make(spec).graph
-            assert stretch(g, tri_rect_grid_tree(spec)).stretch == m
+            assert stretch(g, tri_rect_grid_tree(spec, g)).stretch == m
     for m, n in [(2, 2), (2, 3), (3, 3)]:
         spec = TriRectGrid(m, n)
         assert sigma_exact(make(spec).graph).sigma == m

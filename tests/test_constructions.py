@@ -23,7 +23,6 @@ from treestretch.families import (
     double_star_tree,
     embed_grid,
     make,
-    make_generalized_convex,
     make_split,
     multipartite_tree,
     optimal_construction,
@@ -35,6 +34,7 @@ from treestretch.families import (
     tri_grid_tree,
     tri_rect_grid_tree,
 )
+from treestretch.convex import validate_instance
 from treestretch.graphs import (
     DomainError,
     ParameterError,
@@ -88,7 +88,7 @@ class TestFormulaValues:
         assert sigma_formula(Chain(1, 3, (3,))) == 1
 
     def test_convex_instance_formula(self):
-        inst = make_generalized_convex(
+        inst = validate_instance(
             5,
             [(0, 1), (1, 2), (2, 3), (3, 4)],
             [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
@@ -96,7 +96,7 @@ class TestFormulaValues:
         assert sigma_formula(GeneralizedConvex(inst)) == 3
 
     def test_convex_instance_degenerate(self):
-        inst = make_generalized_convex(2, [(0, 1)], [[0, 1]])
+        inst = validate_instance(2, [(0, 1)], [[0, 1]])
         assert sigma_formula(GeneralizedConvex(inst)) == 1
 
 
@@ -126,18 +126,19 @@ class TestMultipartite:
     def test_star_when_singleton_part(self):
         spec = CompleteMultipartite((1, 2, 3))
         g = make(spec).graph
-        t = multipartite_tree(spec)
+        t = multipartite_tree(spec, g)
         assert stretch(g, t).stretch == 2
 
     def test_double_star_otherwise(self):
         spec = CompleteMultipartite((2, 2, 3))
         g = make(spec).graph
-        t = multipartite_tree(spec)
+        t = multipartite_tree(spec, g)
         assert stretch(g, t).stretch == 3
 
     def test_requires_three_parts(self):
+        spec = CompleteMultipartite((2, 2))
         with pytest.raises(ParameterError):
-            multipartite_tree(CompleteMultipartite((2, 2)))
+            multipartite_tree(spec, make(spec).graph)
 
     @pytest.mark.parametrize(
         "parts,center,other",
@@ -146,7 +147,7 @@ class TestMultipartite:
     def test_any_part_order(self, parts, center, other):
         spec = CompleteMultipartite(parts)
         g = make(spec).graph
-        t = multipartite_tree(spec)
+        t = multipartite_tree(spec, g)
         assert stretch(g, t).stretch == sigma_formula(spec) == (2 if other is None else 3)
         assert t.adjacency[center] == tuple(v for v in range(g.n) if g.has_edge(center, v))
         if other is not None:
@@ -220,16 +221,16 @@ class TestSplitClassification:
 
 class TestPetersen:
     def test_tree_attains_four(self):
-        t = petersen_tree()
         g = make(Petersen()).graph
+        t = petersen_tree(g)
         assert stretch(g, t).stretch == 4
 
 
 class TestGridTrees:
     def test_rect_middle_row(self):
         spec = RectGrid(3, 3)
-        t = rect_grid_tree(spec)
         g = make(spec).graph
+        t = rect_grid_tree(spec, g)
         assert stretch(g, t).stretch == 3
         # row 1 is the horizontal spine: edges (3,4) and (4,5)
         assert g.edge_index[(3, 4)] in t.tree_edges
@@ -239,13 +240,13 @@ class TestGridTrees:
     def test_rect_matches_formula(self, m, n):
         spec = RectGrid(m, n)
         g = make(spec).graph
-        assert stretch(g, rect_grid_tree(spec)).stretch == 2 * (m // 2) + 1
+        assert stretch(g, rect_grid_tree(spec, g)).stretch == 2 * (m // 2) + 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_tri_matches_formula(self, n):
         spec = TriGrid(n)
         g = make(spec).graph
-        assert stretch(g, tri_grid_tree(spec)).stretch == (2 * n + 2) // 3 + 1
+        assert stretch(g, tri_grid_tree(spec, g)).stretch == (2 * n + 2) // 3 + 1
 
     def test_tri_crossing_is_corner_of_first_deepest_face(self):
         for n in range(1, 41):
@@ -259,7 +260,7 @@ class TestGridTrees:
     def test_tri_rect_matches_formula(self, m, n):
         spec = TriRectGrid(m, n)
         g = make(spec).graph
-        assert stretch(g, tri_rect_grid_tree(spec)).stretch == m
+        assert stretch(g, tri_rect_grid_tree(spec, g)).stretch == m
 
 
 class TestOptimalConstruction:

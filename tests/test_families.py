@@ -22,12 +22,12 @@ from treestretch.families import (
     Wheel,
     chain_instance,
     make,
-    make_generalized_convex,
     make_split,
     random_convex_spec,
     random_glued_blocks,
     random_split_spec,
 )
+from treestretch.convex import validate_instance
 from treestretch.graphs import ParameterError, blocks, girth, is_connected
 from treestretch.solver import count_spanning_trees_kirchhoff
 
@@ -145,7 +145,7 @@ class TestChainFamily:
 
 class TestGeneralizedConvexFamily:
     def test_make_wraps_instance(self):
-        inst = make_generalized_convex(3, [(0, 1), (1, 2)], [[0, 1], [1, 2]])
+        inst = validate_instance(3, [(0, 1), (1, 2)], [[0, 1], [1, 2]])
         fg = make(GeneralizedConvex(inst))
         assert fg.graph == inst.graph
         assert fg.meta["family"] == "generalized-convex"
@@ -191,6 +191,34 @@ class TestGrids:
             TriGrid(0)
         with pytest.raises(ParameterError):
             TriRectGrid(4, 3)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 5), (3, 3), (4, 7), (6, 6)])
+    def test_rect_edge_kinds(self, m, n):
+        fg = make(RectGrid(m, n))
+        kinds = fg.meta["edge_kinds"]
+        assert fg.graph.n == len(fg.meta["coordinates"]) == m * n
+        assert kinds.count("horizontal") == m * (n - 1)
+        assert kinds.count("vertical") == (m - 1) * n
+        assert len(kinds) == fg.graph.m
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_tri_edge_kinds(self, n):
+        fg = make(TriGrid(n))
+        kinds = fg.meta["edge_kinds"]
+        assert fg.graph.n == len(fg.meta["coordinates"]) == (n + 1) * (n + 2) // 2
+        for kind in ("horizontal", "vertical", "slant"):
+            assert kinds.count(kind) == n * (n + 1) // 2
+        assert len(kinds) == fg.graph.m
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 5), (3, 3), (4, 7), (6, 6)])
+    def test_tri_rect_edge_kinds(self, m, n):
+        fg = make(TriRectGrid(m, n))
+        kinds = fg.meta["edge_kinds"]
+        assert fg.graph.n == len(fg.meta["coordinates"]) == m * n
+        assert kinds.count("horizontal") == m * (n - 1)
+        assert kinds.count("vertical") == (m - 1) * n
+        assert kinds.count("slant") == (m - 1) * (n - 1)
+        assert len(kinds) == fg.graph.m
 
     def test_edge_kinds_align_with_edges(self):
         for fg in (make(RectGrid(2, 3)), make(TriGrid(2)), make(TriRectGrid(2, 2))):

@@ -86,6 +86,7 @@ CASES.update({
     "error-split-parameter": (["construct", "split", "3", "0;1"], None),
     "error-chain-parameter": (["construct", "chain", "2", "3"], None),
     "error-random-parameter": (["generate", "random-split", "3"], None),
+    "error-random-blocks-parameter": (["generate", "random-blocks", "5", "7"], None),
     "error-levels-non-grid": (["levels", "complete", "4"], None),
     "error-levels-cube-parameter": (["levels", "cube", "1"], None),
 })

@@ -36,7 +36,7 @@ from treestretch.solver import enumerate_spanning_trees
 
 def triangle_with_faces():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    return g, [(0, 2, 1), (0, 2, 1)]
+    return g, [(0, 1, 2), (0, 1, 2)]
 
 
 class TestMakePlaneGraph:
@@ -52,15 +52,20 @@ class TestMakePlaneGraph:
         with pytest.raises(ValidationError):
             make_plane_graph(g, faces[:1], outer_face=0)
 
-    def test_non_closed_walk_rejected(self):
+    def test_non_adjacent_step_rejected(self):
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(ValidationError, match="from 0 to 2, which is not an edge"):
+            make_plane_graph(g, [(0, 1, 2, 3), (0, 2, 1, 3)], outer_face=1)
+
+    def test_two_vertex_face_rejected(self):
         g, _ = triangle_with_faces()
-        with pytest.raises(ValidationError):
-            make_plane_graph(g, [(0, 1), (0, 2, 1)], outer_face=1)
+        with pytest.raises(ValidationError, match="fewer than three vertices"):
+            make_plane_graph(g, [(0, 1), (0, 1, 2)], outer_face=1)
 
     def test_bridge_rejected(self):
         g = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        faces = [(0, 2, 1), (0, 2, 3, 3, 1)]
-        with pytest.raises(ValidationError):
+        faces = [(0, 1, 2), (0, 1, 2, 3, 2)]
+        with pytest.raises(ValidationError, match="bridge"):
             make_plane_graph(g, faces, outer_face=1)
 
     def test_outer_face_index_checked(self):
