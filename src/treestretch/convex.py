@@ -37,6 +37,7 @@ from .graphs import (
     SpanningTree,
     ValidationError,
     is_connected,
+    json_ints,
     make_graph,
     spanning_tree_from_pairs,
     tree_distance,
@@ -466,12 +467,12 @@ def instance_to_json(instance: ConvexInstance) -> dict:
 
 def instance_from_json(data: Mapping) -> ConvexInstance:
     try:
-        tau_edges = [(int(e[0]), int(e[1])) for e in data["tau_edges"]]
-        sigma = [list(map(int, s)) for s in data["sigma"]]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        tau_edges = [json_ints("instance", e, 2) for e in data["tau_edges"]]
+        sigma = [json_ints("instance", s) for s in data["sigma"]]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance JSON: {exc}") from exc
     if "n_y" in data:
-        n_y = int(data["n_y"])
+        [n_y] = json_ints("instance", [data["n_y"]])
     else:
         vertices = {v for e in tau_edges for v in e} | {v for s in sigma for v in s}
         n_y = max(vertices) + 1 if vertices else 1

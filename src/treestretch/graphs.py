@@ -495,12 +495,28 @@ def graph_to_json(g: Graph, meta: Mapping | None = None) -> dict:
     }
 
 
+def json_ints(kind: str, value: object, length: int | None = None) -> list[int]:
+    """``value`` as a list of JSON integers, of exactly ``length`` entries if given.
+
+    Only ``int`` entries pass: not ``bool``, not a float (``2.7``, or ``1e400``,
+    which JSON reads as infinity), not a string. Anything else raises
+    ValidationError("malformed <kind> JSON: ...") instead of being coerced.
+    """
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        want = "a list of integers" if length is None else f"a list of {length} integers"
+        raise ValidationError(f"malformed {kind} JSON: expected {want}, got {value!r}")
+    for x in value:
+        if type(x) is not int:
+            raise ValidationError(f"malformed {kind} JSON: expected an integer, got {x!r}")
+    return list(value)
+
+
 def graph_from_json(data: Mapping) -> tuple[Graph, dict]:
     """Parse the canonical JSON form; returns (graph, meta)."""
     try:
-        n = int(data["n"])
-        edges = [(int(e[0]), int(e[1])) for e in data["edges"]]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        [n] = json_ints("graph", [data["n"]])
+        edges = [json_ints("graph", e, 2) for e in data["edges"]]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc
     meta = data.get("meta") or {}
     if not isinstance(meta, Mapping):

@@ -1,18 +1,19 @@
 """Exact minimum-stretch oracle via spanning-tree enumeration.
 
-The enumerator walks the edge list in canonical index order deciding include vs
-exclude, keeping a union-find forest with rollback. The include branch is explored
-first, so trees are produced in a fixed lexicographic order and the first optimum
-found is deterministic. Excluding an edge is only followed when the remaining edges
-can still connect the current forest, so dead branches are cut early.
+One search serves enumeration and sigma_exact. It walks the edge list in
+canonical index order deciding include vs exclude, keeping one partial forest as
+adjacency lists. The include branch is explored first, so trees are produced in a
+fixed lexicographic order and the first optimum found is deterministic. An edge
+whose ends the forest already joins is skipped; an edge is excluded only while
+the edges not yet excluded still join its ends, so every branch ends in a tree.
 
-sigma_exact runs the same search and also tracks, along each branch, the largest
-tree distance already forced between endpoints of a graph edge: once two vertices
-share a component of the partial forest, the path between them is final, so that
-distance is a sound lower bound on the finished tree's stretch and can prune
-against the best tree so far.
-The girth bound (shortest cycle length minus one) gives a global floor that stops
-the whole search as soon as it is attained.
+Along each branch the search tracks the largest tree distance already forced
+between endpoints of a graph edge: once two vertices share a component of the
+partial forest, the path between them is final, so that distance is a sound lower
+bound on the finished tree's stretch. sigma_exact prunes with it against the best
+tree so far; enumeration uses no cutoff. The girth bound (shortest cycle length
+minus one) gives a global floor that stops the whole search as soon as it is
+attained.
 
 A hand-rolled Bareiss elimination provides the matrix-tree count in exact integer
 arithmetic as an independent cross-check on the enumerator.
@@ -106,73 +107,48 @@ class _Stop(Exception):
 class _TreeSearch:
     """Include-first walk over the spanning trees, shared by enumeration and the exact solve.
 
-    Union-find uses union by size without path compression so that unions can be
-    rolled back in O(1) when backtracking.
+    The search keeps one forest, as adjacency lists, and one ``excluded`` flag per
+    edge. At edge i = (u, v) a BFS from u in the forest gives u's tree distances. If
+    it reaches v, edge i would close a cycle and is skipped. Otherwise the include
+    branch adds it to the forest, and the exclude branch flags it, but only while a
+    DFS from u over the non-excluded edges other than i still reaches v.
+
+    This exclude rule equals the usual one, "the forest plus ``edges[i+1:]`` still
+    spans", so the search takes the same branches in the same order. Proof: let N
+    be the non-excluded edges, that is the forest, the undecided suffix
+    ``edges[i:]`` and the skipped cycle-closing edges. N spans and is connected at
+    every node: it is the whole connected graph at the root, an include or a skip
+    leaves it as it is, and an exclude is taken only when N minus edge i stays
+    connected. A skipped edge joins two vertices that the forest already joined
+    when it was skipped, and the forest only grows down a branch, so N minus edge
+    i joins the same vertex pairs as the forest plus ``edges[i+1:]``. As N is
+    connected, N minus edge i is connected exactly when edge i is not a bridge of
+    N, that is when u still reaches v without it. The invariant also means that no
+    branch runs past the last edge: there N is the forest plus edges inside its
+    components, so the forest already spans and the branch ended in a tree.
     """
 
     def __init__(self, g: Graph, max_trees: int):
         self.n = g.n
-        self.m = g.m
         self.edges = g.edges
         self.max_trees = max_trees
-        self.parent = list(range(g.n))
-        self.size = [1] * g.n
-        self.history: list[tuple[int, int]] = []
         self.included: list[int] = []
         self.count = 0
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, ru: int, rv: int) -> None:
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.history.append((ru, rv))
-
-    def undo(self) -> None:
-        ru, rv = self.history.pop()
-        self.parent[rv] = rv
-        self.size[ru] -= self.size[rv]
-
-    def can_connect(self, start: int) -> bool:
-        """Can the current forest still be completed using edges[start:]?"""
-        comps = self.n - len(self.included)
-        if comps == 1:
-            return True
-        tmp: dict[int, int] = {}
-
-        def tfind(x: int) -> int:
-            r = self.find(x)
-            while tmp.get(r, r) != r:
-                r = tmp[r]
-            return r
-
-        for j in range(start, self.m):
-            u, v = self.edges[j]
-            ru, rv = tfind(u), tfind(v)
-            if ru != rv:
-                tmp[rv] = ru
-                comps -= 1
-                if comps == 1:
-                    return True
-        return False
-
-    def run(self, on_tree: Callable[[int], float], distances: bool) -> None:
+    def run(self, on_tree: Callable[[int], float]) -> None:
         """Call ``on_tree(forced)`` on every tree reached, in include-first order.
 
-        With ``distances``, ``forced`` is the largest tree distance already
-        forced between the ends of a graph edge, and an edge is included only
-        while it forces less than the cutoff ``on_tree`` returned last. Plain
-        enumeration skips that step: ``forced`` stays 0.
+        ``forced`` is the largest tree distance already forced between the ends
+        of a graph edge, and an edge is included only while it forces less than
+        the cutoff ``on_tree`` returned last.
         """
-        n, m, edges, included = self.n, self.m, self.edges, self.included
-        find, union, undo, can_connect = self.find, self.union, self.undo, self.can_connect
-        forest_adj: list[list[int]] = [[] for _ in range(n)]
+        n, edges, included = self.n, self.edges, self.included
+        forest: list[list[int]] = [[] for _ in range(n)]
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for j, (a, b) in enumerate(edges):
+            incident[a].append((j, b))
+            incident[b].append((j, a))
+        excluded = [False] * len(edges)
         cutoff = math.inf
 
         def forest_dists(start: int) -> list[int]:
@@ -182,11 +158,25 @@ class _TreeSearch:
             while queue:
                 a = queue.popleft()
                 da = dist[a]
-                for b in forest_adj[a]:
+                for b in forest[a]:
                     if dist[b] < 0:
                         dist[b] = da + 1
                         queue.append(b)
             return dist
+
+        def joined(u: int, v: int) -> bool:
+            """Do the non-excluded edges still join u to v?"""
+            seen = [False] * n
+            seen[u] = True
+            stack = [u]
+            while stack:
+                for j, b in incident[stack.pop()]:
+                    if not seen[b] and not excluded[j]:
+                        if b == v:
+                            return True
+                        seen[b] = True
+                        stack.append(b)
+            return False
 
         def rec(i: int, forced: int) -> None:
             nonlocal cutoff
@@ -198,42 +188,36 @@ class _TreeSearch:
                 self.count += 1
                 cutoff = on_tree(forced)
                 return
-            if i == m:
-                return
             u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                rec(i + 1, forced)  # would close a cycle; exclusion is forced and harmless
+            du = forest_dists(u)
+            if du[v] >= 0:
+                rec(i + 1, forced)  # would close a cycle: skipped, not flagged as excluded
                 return
+            # Including edge i merges the components of u and v; every graph edge
+            # crossing them gets its final tree distance right now.
+            dv = forest_dists(v)
             nf = forced
-            if distances:
-                # Including edge i merges the components of u and v; every graph edge
-                # crossing them gets its final tree distance right now.
-                du = forest_dists(u)
-                dv = forest_dists(v)
-                for a, b in edges:
-                    if du[a] >= 0 and dv[b] >= 0:
-                        d = du[a] + 1 + dv[b]
-                    elif du[b] >= 0 and dv[a] >= 0:
-                        d = du[b] + 1 + dv[a]
-                    else:
-                        continue
-                    if d > nf:
-                        nf = d
+            for a, b in edges:
+                if du[a] >= 0 and dv[b] >= 0:
+                    d = du[a] + 1 + dv[b]
+                elif du[b] >= 0 and dv[a] >= 0:
+                    d = du[b] + 1 + dv[a]
+                else:
+                    continue
+                if d > nf:
+                    nf = d
             if nf < cutoff:
-                union(ru, rv)
                 included.append(i)
-                if distances:
-                    forest_adj[u].append(v)
-                    forest_adj[v].append(u)
+                forest[u].append(v)
+                forest[v].append(u)
                 rec(i + 1, nf)
-                if distances:
-                    forest_adj[v].pop()
-                    forest_adj[u].pop()
+                forest[v].pop()
+                forest[u].pop()
                 included.pop()
-                undo()
-            if can_connect(i + 1):
+            excluded[i] = True
+            if joined(u, v):
                 rec(i + 1, forced)
+            excluded[i] = False
 
         rec(0, 0)
 
@@ -245,8 +229,9 @@ def enumerate_spanning_trees(
 ) -> int:
     """Visit every spanning tree exactly once (as a sorted tuple of edge indices).
 
-    Returns the number of trees. Raises ResourceLimitError past ``max_trees``,
-    reporting the partial count.
+    Returns the number of trees. Raises ResourceLimitError past ``max_trees``
+    finished trees, reporting the partial count. The cap counts trees, not
+    search work, so it does not bound the running time.
     """
     if not is_connected(g):
         raise ValidationError("cannot enumerate spanning trees of a disconnected graph")
@@ -257,7 +242,7 @@ def enumerate_spanning_trees(
             visitor(tuple(search.included))
         return math.inf
 
-    search.run(on_tree, distances=False)
+    search.run(on_tree)
     return search.count
 
 
@@ -271,7 +256,9 @@ def sigma_exact(
     With pruning on, branches whose already-forced fundamental-cycle distance
     cannot beat the incumbent are abandoned, and the search stops outright when
     the girth floor is met. With pruning off, every tree is enumerated (useful as
-    an oracle and for exact tree counts).
+    an oracle and for exact tree counts). ``max_trees`` caps the finished trees
+    the search reaches, not its work: a pruned search may explore many branches
+    per tree, so a small cap does not bound the running time.
     """
     if not is_connected(g):
         raise ValidationError("sigma_exact requires a connected graph")
@@ -301,7 +288,7 @@ def sigma_exact(
         return best_sigma if use_pruning else math.inf
 
     try:
-        search.run(on_tree, distances=True)
+        search.run(on_tree)
     except _Stop:
         pass
     assert best_tree is not None, "connected graph must have a spanning tree"

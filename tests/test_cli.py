@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -167,6 +168,33 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "requires a connected graph" in err
+
+
+MALFORMED = {
+    "n-overflow": ("solve", '{"n": 1e400, "edges": []}'),
+    "end-overflow": ("solve", '{"n": 2, "edges": [[0, 1e400]]}'),
+    "n-bool": ("solve", '{"n": true, "edges": []}'),
+    "n-float": ("solve", '{"n": 2.7, "edges": [[0, 1]]}'),
+    "end-float": ("solve", '{"n": 3, "edges": [[0, 2.9], [0, 1]]}'),
+    "three-ends": ("solve", '{"n": 2, "edges": [[0, 1, 5]]}'),
+    "n_y-string": ("convex", '{"n_y": "x", "tau_edges": [[0, 1]], "sigma": [[0, 1]]}'),
+    "n_y-null": ("convex", '{"n_y": null, "tau_edges": [[0, 1]], "sigma": [[0, 1]]}'),
+    "n_y-overflow": ("convex", '{"n_y": 1e400, "tau_edges": [[0, 1]], "sigma": [[0, 1]]}'),
+    "meta-number": ("convex", '{"meta": 5}'),
+    "set-float": ("convex", '{"tau_edges": [[0, 1]], "sigma": [[0, 1.7]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_an_error(capsys, monkeypatch, case):
+    """Malformed numbers and edges exit 1 with a message, never a traceback or a coercion."""
+    command, text = MALFORMED[case]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, command, "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed")
+    assert "Traceback" not in err
 
 
 class TestConvex:

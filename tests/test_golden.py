@@ -15,6 +15,7 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,17 @@ FAMILY_WORDS = {
     "tri-rect-grid": ["tri-rect-grid", "4", "6"],
 }
 
-# case name -> (argv, name of the case whose stdout is fed to stdin, or None)
-CASES: dict[str, tuple[list[str], str | None]] = {"reproduce": (["reproduce"], None)}
+
+@dataclass(frozen=True)
+class Stdin:
+    """Literal text fed to a case's stdin."""
+
+    text: str
+
+
+# case name -> (argv, stdin: the name of the case whose stdout is fed to it,
+# literal Stdin text, or None)
+CASES: dict[str, tuple[list[str], str | Stdin | None]] = {"reproduce": (["reproduce"], None)}
 for _name, _words in FAMILY_WORDS.items():
     CASES[f"generate-{_name}"] = (["generate", *_words], None)
     CASES[f"construct-{_name}"] = (["construct", *_words], None)
@@ -89,15 +99,20 @@ CASES.update({
     "error-random-blocks-parameter": (["generate", "random-blocks", "5", "7"], None),
     "error-levels-non-grid": (["levels", "complete", "4"], None),
     "error-levels-cube-parameter": (["levels", "cube", "1"], None),
+    "error-solve-malformed-json": (["solve", "-"], Stdin('{"n": 1e400, "edges": [[0, 1]]}')),
+    "error-convex-malformed-json": (
+        ["convex", "-"], Stdin('{"n_y": "x", "tau_edges": [[0, 1]], "sigma": [[0, 1]]}')),
 })
 
 
 def run_case(name: str) -> str:
     """Exit code, stdout without ``runtime_s``, and stderr of one case."""
-    argv, stdin_case = CASES[name]
+    argv, source = CASES[name]
     stdin = ""
-    if stdin_case is not None:
-        stdin = run_case(stdin_case).split("\n", 1)[1]
+    if isinstance(source, Stdin):
+        stdin = source.text
+    elif source is not None:
+        stdin = run_case(source).split("\n", 1)[1]
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
