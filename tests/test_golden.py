@@ -102,6 +102,12 @@ CASES.update({
     "error-solve-malformed-json": (["solve", "-"], Stdin('{"n": 1e400, "edges": [[0, 1]]}')),
     "error-convex-malformed-json": (
         ["convex", "-"], Stdin('{"n_y": "x", "tau_edges": [[0, 1]], "sigma": [[0, 1]]}')),
+    "convex-two-sided": (["convex", "-"], Stdin(
+        '{"n_y": 5, "tau_edges": [[0, 2], [1, 2], [2, 3], [3, 4]],'
+        ' "sigma": [[1, 2, 3], [0, 2, 3, 4], [0, 1, 2], [3, 4]]}')),
+    "convex-twin-sets": (["convex", "-"], Stdin(
+        '{"n_y": 4, "tau_edges": [[0, 1], [0, 3], [1, 2]],'
+        ' "sigma": [[1, 2], [1, 2], [0, 1], [0, 3], [0, 3], [0, 3]]}')),
 })
 
 
