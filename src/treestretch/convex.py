@@ -10,17 +10,15 @@ and this module builds one:
 1. pick a root set that contains a tau-leaf and is inclusion-maximal;
 2. grow breadth-first "levels": successors of a set Y_i are the remaining sets
    that overlap it, stick out of it, and have an inclusion-maximal union with it;
-3. the root's X-vertex becomes the center of a star over all of Y_1; each
-   successor's X-vertex becomes a star over its extension plus one overlap
-   vertex y-bar chosen at the boundary toward the extension;
-4. every set never selected is attached by a single pendant edge at a vertex
-   that the partial tree already places within distance two of the whole set.
+3. attach the X-vertices one at a time, the selected sets level by level and
+   then the unselected ones in index order: each x_j joins every vertex of Y_j
+   not yet in the tree, plus one anchor, a vertex of Y_j already in the tree
+   that shares a tree neighbour with every other such vertex of Y_j.
 
-The "last vertex of the overlap" phrasing used informally for y-bar is
-under-determined and can produce stretch-5 trees on valid instances, so the
-builder is defensive: it tries every eligible root (and both overlap endpoints
-when a successor extends on both sides), verifies that every fundamental cycle
-of the candidate tree has length exactly four, and returns the first success.
+Every edge the rule leaves out closes a 4-cycle through the anchor, so any
+tree it finishes has stretch 3 (proved at ``_try_build``); no check follows.
+That the rule always finds an anchor is not proved, so the builder retries
+the other eligible roots and a second tie-break for the anchor.
 Vertex numbering of the bipartite graph: x_i is vertex i (0 <= i < m), y_j is
 vertex m + j.
 """
@@ -28,7 +26,6 @@ vertex m + j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
@@ -40,7 +37,6 @@ from .graphs import (
     json_ints,
     make_graph,
     spanning_tree_from_pairs,
-    tree_distance,
 )
 
 
@@ -335,74 +331,67 @@ def level_sets(instance: ConvexInstance, root: int) -> LevelStructure:
     )
 
 
-def _ybar_options(instance: ConvexInstance, i: int, j: int) -> list[int]:
-    """Overlap endpoints of Y_i and Y_j facing an extension segment of Y_j.
+def _attach(path: Sequence[int], centers: Mapping[int, set[int]], toward_end: bool) -> list[int] | None:
+    """Y-vertices an X-vertex with neighbour path ``path`` joins in the tree.
 
-    The overlap of two tau-paths is a contiguous segment of Y_j's path; the
-    extension Y_j minus Y_i consists of the flanking segment(s). The attachment
-    vertex must sit on the overlap boundary toward an extension, otherwise
-    paths from the extension back into the overlap grow too long.
+    ``centers`` maps each Y-vertex already in the tree to its X-neighbours
+    there. The X-vertex joins every vertex of ``path`` not yet in the tree,
+    plus one anchor: a vertex already in the tree that shares a tree neighbour
+    with every other such vertex of ``path``. The anchor is the candidate
+    nearest to a new vertex along the path, ties going toward the path's start
+    (or its end when ``toward_end``); with no new vertex, the first candidate
+    along the path. None when no vertex qualifies as the anchor.
     """
-    overlap = instance.sigma[i] & instance.sigma[j]
-    path_j = instance.paths[j]
-    positions = [pos for pos, v in enumerate(path_j) if v in overlap]
-    lo, hi = positions[0], positions[-1]
-    options = []
-    if lo > 0:  # extension before the overlap segment
-        options.append(path_j[lo])
-    if hi < len(path_j) - 1:  # extension after the overlap segment
-        options.append(path_j[hi])
-    return options
-
-
-def _try_build(
-    instance: ConvexInstance,
-    structure: LevelStructure,
-    ybar_choice: Mapping[int, int],
-) -> SpanningTree | None:
-    """Assemble stars plus pendants for one y-bar assignment; verify or bail."""
-    sigma = instance.sigma
-    yv = instance.y_vertex
-    edges: list[tuple[int, int]] = []
-    centers: dict[int, set[int]] = {y: set() for y in range(instance.n_y)}
-
-    def add_star(x_index: int, members: Iterable[int]) -> None:
-        for y in sorted(members):
-            edges.append((x_index, yv(y)))
-            centers[y].add(x_index)
-
-    add_star(structure.root, sigma[structure.root])
-    for level in structure.levels[1:]:
-        for j in level:
-            i = structure.predecessor[j]
-            add_star(j, (sigma[j] - sigma[i]) | {ybar_choice[j]})
-
-    for q in sorted(structure.discarded):
-        anchor = None
-        for y in instance.paths[q]:
-            if all(
-                other == y or (centers[other] & centers[y])
-                for other in sigma[q]
-            ):
-                anchor = y
-                break
-        if anchor is None:
-            return None
-        edges.append((q, yv(anchor)))
-
-    try:
-        tree = spanning_tree_from_pairs(instance.graph, edges)
-    except ValidationError:
+    new = [p for p, y in enumerate(path) if y not in centers]
+    old = [y for y in path if y in centers]
+    if not old:
+        return list(path)  # the root: there is no tree to meet yet
+    anchors = [
+        p for p, y in enumerate(path)
+        if y in centers and all(o == y or centers[o] & centers[y] for o in old)
+    ]
+    if not anchors:
         return None
-    for e in tree.cotree_edges:
-        if tree_distance(tree, *instance.graph.edges[e]) != 3:
-            return None
-    return tree
+    if not new:
+        return [path[anchors[0]]]
+    anchor = min(anchors, key=lambda p: (min(abs(p - q) for q in new), -p if toward_end else p))
+    return [path[p] for p in new] + [path[anchor]]
+
+
+def _try_build(instance: ConvexInstance, structure: LevelStructure, toward_end: bool) -> SpanningTree:
+    """Attach the selected sets, then the unselected ones in index order.
+
+    Each x_j joins the Y-vertices that ``_attach`` picks; ValidationError names
+    the first set left without an anchor. Any tree this finishes has every
+    fundamental cycle of length four, so no check follows:
+
+    - every set after the root meets the tree when it is attached: a selected
+      set meets its predecessor, which sits on an earlier level, and the
+      unselected sets come after the selected ones have covered Y. So x_j
+      joins the tree through its anchor a, and the new Y-vertices it brings
+      hang off x_j; every step keeps a tree, and the last one spans the graph;
+    - an edge x_j-y' left out of the tree has y' in Y_j already in the tree
+      when x_j is attached, and y' is not the anchor. By the anchor rule a and
+      y' share a tree neighbour c, so x_j, a, c, y' is the fundamental cycle of
+      x_j-y', of length four;
+    - later steps only add new vertices, hanging off the tree, so the tree
+      path x_j, a, c, y' never changes.
+    """
+    centers: dict[int, set[int]] = {}
+    edges: list[tuple[int, int]] = []
+    for j in [*structure.selected, *sorted(structure.discarded)]:
+        joined = _attach(instance.paths[j], centers, toward_end)
+        if joined is None:
+            raise ValidationError(f"Y_{j + 1} has no anchor")
+        for y in joined:
+            edges.append((j, instance.y_vertex(y)))
+            centers.setdefault(y, set()).add(j)
+    return spanning_tree_from_pairs(instance.graph, edges)
 
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A verified tree plus the level structure that produced it.
+    """A tree with all fundamental cycles of length four, plus its level structure.
 
     ``structure`` is None exactly when the bipartite graph was already a tree
     and no level procedure ran.
@@ -416,9 +405,13 @@ def construct_details(instance: ConvexInstance) -> ConstructionResult:
     """Build a tree whose fundamental cycles all have length exactly four.
 
     If the bipartite graph is itself a tree, it is returned as-is (stretch 1,
-    a degenerate but valid answer). Otherwise roots are tried in ascending
-    index order, with both overlap endpoints tried for successors whose
-    extension is two-sided; the first verified tree wins.
+    a degenerate but valid answer). Otherwise each root candidate is tried in
+    ascending index order, and for each root the attach rule runs with anchor
+    ties toward the path's start, then toward its end; the first tree the rule
+    finishes is returned. The rule is sound (see ``_try_build``) but not
+    proved to finish, hence the retries. When every attempt fails,
+    ValidationError names per root the level-procedure fault or the first set
+    left without an anchor.
     """
     g = instance.graph
     if g.m == g.n - 1:
@@ -431,19 +424,12 @@ def construct_details(instance: ConvexInstance) -> ConstructionResult:
         except ValidationError as exc:
             failures.append(f"root Y_{root + 1}: {exc}")
             continue
-        succ_indices = sorted(structure.predecessor)
-        option_lists = []
-        for j in succ_indices:
-            opts = _ybar_options(instance, structure.predecessor[j], j)
-            if not opts:
-                opts = [instance.paths[j][0]]  # unreachable for real successors
-            option_lists.append(opts)
-        for combo in product(*option_lists):
-            choice = dict(zip(succ_indices, combo))
-            tree = _try_build(instance, structure, choice)
-            if tree is not None:
-                return ConstructionResult(tree, structure)
-        failures.append(f"root Y_{root + 1}: no attachment assignment verified")
+        for toward_end in (False, True):
+            try:
+                return ConstructionResult(_try_build(instance, structure, toward_end), structure)
+            except ValidationError as exc:
+                if not toward_end:
+                    failures.append(f"root Y_{root + 1}: {exc}")
     detail = "; ".join(failures) if failures else "no eligible root"
     raise ValidationError(f"construction failed for every root candidate ({detail})")
 
