@@ -228,9 +228,11 @@ class LevelStructure:
 def level_sets(instance: ConvexInstance, root: int) -> LevelStructure:
     """Grow levels from the root until the selected sets cover Y.
 
-    Successors of a selected Y_i are remaining sets that overlap it, stick out
-    of it, and whose union with Y_i is inclusion-maximal among Y_i's candidates;
-    among candidates with identical unions only the lowest index is admitted.
+    Successors of a selected Y_i are remaining sets that overlap it, have a
+    vertex outside everything covered so far, and whose union with Y_i is
+    inclusion-maximal among Y_i's candidates; among candidates with identical
+    unions only the lowest index is admitted. A twin of a selected set thus
+    never becomes a candidate and is left for attachment as unselected.
     The structural guarantees the construction relies on (selected sets pairwise
     non-nested, sibling extensions disjoint, sets two levels apart disjoint) are
     asserted and raise ValidationError when violated.
@@ -252,7 +254,7 @@ def level_sets(instance: ConvexInstance, root: int) -> LevelStructure:
             cands = [
                 j
                 for j in sorted(remaining)
-                if sigma[i] & sigma[j] and sigma[j] - sigma[i]
+                if sigma[i] & sigma[j] and sigma[j] - covered
             ]
             unions = {j: sigma[i] | sigma[j] for j in cands}
             for j in cands:

@@ -192,6 +192,94 @@ class TestConstruction:
         assert cyclic >= 20  # the sampler must exercise the real construction
 
 
+# Valid instances on which the builder once raised ValidationError, although
+# each has a tree of stretch 3: random_convex_spec(random.Random(seed),
+# max_x=k, max_y=k) at (k, seed), and pool instances of the benchmark's convex
+# inputs. Rows: (label, n_y, tau_edges, sigma).
+REPAIRED_FAULTS = [
+    ("k8-s278", 5, [[0, 1], [0, 3], [1, 2], [3, 4]],
+     [[1, 2], [3, 4], [1, 2], [2], [0, 3], [0, 3, 4], [3, 4], [0, 1]]),
+    ("k8-s351", 6, [[0, 1], [1, 2], [1, 3], [2, 4], [4, 5]],
+     [[1, 3], [3], [1, 2], [2, 4, 5], [5], [2, 4, 5], [2, 4], [0, 1, 3]]),
+    ("k12-s40", 8, [[0, 1], [0, 2], [0, 6], [1, 3], [1, 7], [3, 4], [4, 5]],
+     [[0, 1, 3], [1, 7], [1, 3, 4], [3], [7], [1, 7], [1, 3, 4, 5, 7], [3, 4],
+      [0, 1], [0, 2, 6]]),
+    ("k12-s145", 7, [[0, 1], [0, 3], [1, 2], [2, 4], [3, 5], [4, 6]],
+     [[0, 1, 2], [2, 4, 6], [0, 1], [2, 4], [3, 5], [0, 1, 2, 4], [2],
+      [0, 1, 2, 3], [0, 1, 3, 5]]),
+    ("k12-s161", 4, [[0, 1], [0, 3], [1, 2]],
+     [[1, 2], [1, 2], [0, 1], [0, 3], [0, 3], [0, 3]]),
+    ("k12-s273", 4, [[0, 1], [1, 2], [2, 3]],
+     [[1, 2], [0, 1], [0, 1], [3], [1, 2], [2, 3], [1], [1, 2], [1, 2], [2, 3]]),
+    ("pool-1021", 6, [[0, 1], [0, 2], [1, 3], [3, 4], [4, 5]],
+     [[3, 4, 5], [0, 2], [0, 1, 3], [0, 1, 2], [3, 4, 5]]),
+    ("pool-1586", 4, [[0, 1], [0, 2], [1, 3]],
+     [[1, 3], [0, 1], [1, 3], [0, 2], [0, 2]]),
+    ("pool-2106", 6, [[0, 1], [0, 2], [1, 3], [3, 4], [4, 5]],
+     [[4], [0, 2], [0, 1, 3], [3, 4, 5], [1, 3, 4, 5], [0, 2]]),
+    ("pool-2635", 8, [[0, 1], [0, 2], [0, 3], [2, 4], [3, 5], [1, 6], [2, 7]],
+     [[0, 1], [0, 1], [2, 4], [1, 6], [0, 1], [0, 2, 3, 5, 7], [0, 2, 3, 5, 7]]),
+    ("pool-3798", 8, [[0, 1], [1, 2], [2, 3], [0, 4], [0, 5], [1, 6], [5, 7]],
+     [[1, 2, 3], [0, 1], [1, 2, 3, 6], [0, 4, 5], [7], [0, 4, 5, 7]]),
+    ("pool-3898", 6, [[0, 1], [1, 2], [1, 3], [0, 4], [0, 5]],
+     [[0, 4, 5], [2], [3], [0, 5], [1, 3], [1, 2, 3], [0, 1]]),
+]
+
+# random_convex_spec(random.Random(133), max_x=16, max_y=16): sigma is 3, but
+# no root candidate and neither tie-break finds an anchor for every set.
+OPEN_FAULT = (7, [[0, 1], [0, 2], [1, 3], [1, 4], [2, 5], [2, 6]],
+              [[0, 1, 3], [6], [0, 1, 2, 4, 5], [0, 1, 2, 3, 6], [0, 2, 5],
+               [0, 1, 2, 5], [0, 1, 4], [0], [0, 1, 2, 3], [0, 2, 6]])
+
+
+class TestAttachRule:
+    @pytest.mark.parametrize("n_y,tau,sigma", [row[1:] for row in REPAIRED_FAULTS],
+                             ids=[row[0] for row in REPAIRED_FAULTS])
+    def test_repaired_fault(self, n_y, tau, sigma):
+        inst = validate_instance(n_y, tau, sigma)
+        assert_all_cycles_length_four(inst, construct_tree(inst))
+
+    @pytest.mark.xfail(strict=True, raises=ValidationError, reason="open defect of the attach rule")
+    def test_open_fault(self):
+        construct_tree(validate_instance(*OPEN_FAULT))
+
+    def test_needs_ties_toward_the_end(self):
+        # random_convex_spec(random.Random(1166), max_x=20, max_y=20): with
+        # anchor ties toward the path's start, no root candidate finishes.
+        inst = validate_instance(
+            8,
+            [[0, 1], [0, 2], [0, 7], [1, 3], [1, 6], [2, 4], [3, 5]],
+            [[0, 1, 3, 7], [0, 1, 2, 3], [3, 5], [3], [1, 3], [0, 1], [0, 1, 3],
+             [0, 7], [1], [0, 1, 2], [0, 1, 7], [0, 1, 3, 7], [0], [0], [6],
+             [0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 6, 7], [0, 1, 2, 3, 4, 5]],
+        )
+        assert_all_cycles_length_four(inst, construct_tree(inst))
+
+    def test_twin_sets_are_left_unselected(self):
+        inst = validate_instance(*REPAIRED_FAULTS[4][1:])
+        structure = construct_details(inst).structure
+        assert structure.levels == ((0,), (2,), (3,))
+        assert sorted(structure.discarded) == [1, 4, 5]
+
+    def test_seeded_sweep(self):
+        """Covers anchors that need the second tie-break or a later root."""
+        cyclic, failed = 0, []
+        for k in (8, 12, 16):
+            for seed in range(300):
+                inst = random_convex_spec(random.Random(seed), max_x=k, max_y=k).instance
+                if inst.graph.m == inst.graph.n - 1:
+                    continue
+                cyclic += 1
+                try:
+                    tree = construct_tree(inst)
+                except ValidationError:
+                    failed.append((k, seed))
+                    continue
+                assert_all_cycles_length_four(inst, tree)
+        assert cyclic == 662
+        assert failed == [(16, 133)]
+
+
 class TestInstanceJson:
     def test_round_trip(self):
         inst = overlapping_windows()
