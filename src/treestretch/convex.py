@@ -198,14 +198,6 @@ def root_candidates(instance: ConvexInstance) -> list[int]:
     return out
 
 
-def select_root(instance: ConvexInstance) -> int:
-    """Smallest-index set containing a tau-leaf and inclusion-maximal in the family."""
-    candidates = root_candidates(instance)
-    if not candidates:
-        raise ValidationError("no neighbor set contains a leaf of the host tree and is maximal")
-    return candidates[0]
-
-
 @dataclass(frozen=True)
 class LevelStructure:
     """Breadth-first selection of the family: levels, predecessor links, leftovers.

@@ -805,11 +805,11 @@ def tri_rect_grid_tree(spec: TriRectGrid, g: Graph) -> SpanningTree:
 # Seeded random helpers, for the tests and the random-* command-line families
 
 
-def random_split_spec(rng: random.Random, max_x: int = 4, max_y: int = 3) -> Split:
-    """Random split graph that contains a cycle (so it is not a tree)."""
+def random_split_spec(rng: random.Random) -> Split:
+    """Random split graph on a 2-4 clique and 0-3 independent vertices, with a cycle."""
     while True:
-        k = rng.randint(2, max_x)
-        ny = rng.randint(0, max_y)
+        k = rng.randint(2, 4)
+        ny = rng.randint(0, 3)
         adjacency = tuple(
             frozenset(rng.sample(range(k), rng.randint(1, k))) for _ in range(ny)
         )
@@ -850,24 +850,19 @@ _BLOCK_LIBRARY: list[tuple[str, list[tuple[int, int]], int]] = [
 ]
 
 
-def random_glued_blocks(
-    rng: random.Random,
-    min_blocks: int = 2,
-    max_blocks: int = 4,
-    tree_count_cap: int = 10_000,
-) -> Graph:
-    """Glue 2-connected blocks at random cut vertices into one connected graph.
+def random_glued_blocks(rng: random.Random) -> Graph:
+    """Glue 2-4 2-connected blocks at random cut vertices into one connected graph.
 
     The product of the blocks' spanning-tree counts (= the glued graph's count)
-    is kept under ``tree_count_cap`` so exhaustive solving stays cheap.
+    is kept at most 10,000 so exhaustive solving stays cheap.
     """
     while True:
-        b = rng.randint(min_blocks, max_blocks)
+        b = rng.randint(2, 4)
         picks = [rng.choice(_BLOCK_LIBRARY) for _ in range(b)]
         product = 1
         for _, _, count in picks:
             product *= count
-        if product <= tree_count_cap:
+        if product <= 10_000:
             break
     edges: list[tuple[int, int]] = []
     n = 0

@@ -528,11 +528,10 @@ def to_dot(
     g: Graph,
     tree: SpanningTree | None = None,
     coordinates: Sequence[Sequence[float]] | None = None,
-    name: str = "G",
 ) -> str:
     """DOT export; tree edges solid, cotree edges dashed, coordinates as pos hints."""
     tree_set = tree.tree_edges if tree is not None else None
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         if coordinates is not None:
             x, y = coordinates[v][0], coordinates[v][1]

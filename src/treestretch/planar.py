@@ -241,11 +241,7 @@ def cotree_dual_tree(plane: PlaneGraph, tree: SpanningTree) -> DualSpanningTree:
     return DualSpanningTree(plane=plane, tree_edges=cotree)
 
 
-def overlay_dot(
-    plane: PlaneGraph,
-    coordinates: Sequence[Sequence[float]] | None = None,
-    name: str = "overlay",
-) -> str:
+def overlay_dot(plane: PlaneGraph, coordinates: Sequence[Sequence[float]] | None = None) -> str:
     """DOT text with the primal graph solid and the dual graph dotted.
 
     Primal vertices are circles (with position hints when coordinates are
@@ -253,7 +249,7 @@ def overlay_dot(
     is labeled with the index of the primal edge it crosses.
     """
     g = plane.graph
-    lines = [f"graph {name} {{"]
+    lines = ["graph overlay {"]
     for v in range(g.n):
         attrs = ""
         if coordinates is not None:

@@ -225,17 +225,16 @@ class _TreeSearch:
 def enumerate_spanning_trees(
     g: Graph,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
-    max_trees: int = DEFAULT_MAX_TREES,
 ) -> int:
     """Visit every spanning tree exactly once (as a sorted tuple of edge indices).
 
-    Returns the number of trees. Raises ResourceLimitError past ``max_trees``
+    Returns the number of trees. Raises ResourceLimitError past ``DEFAULT_MAX_TREES``
     finished trees, reporting the partial count. The cap counts trees, not
     search work, so it does not bound the running time.
     """
     if not is_connected(g):
         raise ValidationError("cannot enumerate spanning trees of a disconnected graph")
-    search = _TreeSearch(g, max_trees)
+    search = _TreeSearch(g, DEFAULT_MAX_TREES)
 
     def on_tree(forced: int) -> float:
         if visitor is not None:
