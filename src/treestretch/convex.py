@@ -325,7 +325,9 @@ def level_sets(instance: ConvexInstance, root: int) -> LevelStructure:
     )
 
 
-def _attach(path: Sequence[int], centers: Mapping[int, set[int]], toward_end: bool) -> list[int] | None:
+def _attach(
+    path: Sequence[int], centers: Mapping[int, set[int]], toward_end: bool
+) -> list[int] | None:
     """Y-vertices an X-vertex with neighbour path ``path`` joins in the tree.
 
     ``centers`` maps each Y-vertex already in the tree to its X-neighbours

@@ -252,12 +252,6 @@ class TestAttachRule:
         )
         assert_all_cycles_length_four(inst, construct_tree(inst))
 
-    def test_twin_sets_are_left_unselected(self):
-        inst = validate_instance(*REPAIRED_FAULTS[4][1:])
-        structure = construct_details(inst).structure
-        assert structure.levels == ((0,), (2,), (3,))
-        assert sorted(structure.discarded) == [1, 4, 5]
-
     def test_seeded_sweep(self):
         """Covers anchors that need the second tie-break or a later root."""
         cyclic, failed = 0, []
