@@ -26,6 +26,7 @@ from .families import (
     CompleteMultipartite,
     Cycle,
     Diamond,
+    FamilyGraph,
     FamilySpec,
     Petersen,
     RectGrid,
@@ -33,7 +34,7 @@ from .families import (
     TriGrid,
     TriRectGrid,
     Wheel,
-    embed_grid,
+    embed_grid,  # not called here; kept as an attribute that tracing wraps by name
     family_of,
     make,
     optimal_construction,
@@ -42,7 +43,6 @@ from .families import (
     stretch_lower_bound,
 )
 from .graphs import (
-    Graph,
     GraphError,
     ParameterError,
     ResourceLimitError,
@@ -52,7 +52,7 @@ from .graphs import (
     stretch,
     to_dot,
 )
-from .planar import Cube, face_levels, overlay_dot
+from .planar import embed_cube, face_levels, overlay_dot
 from .solver import DEFAULT_MAX_TREES, lower_bound_girth, sigma_exact
 
 
@@ -90,7 +90,7 @@ def _read_json(path: str) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -118,10 +118,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _lower_bounds(spec: FamilySpec, g: Graph) -> tuple[int | None, int | None]:
-    """The girth bound when ``g`` has a cycle, and the face-level bound of a plane grid."""
+def _lower_bounds(built: FamilyGraph) -> tuple[int | None, int | None]:
+    """The girth bound when the graph has a cycle, and the face-level bound of a plane grid."""
+    g = built.graph
     girth_lb = lower_bound_girth(g) if g.m >= g.n else None
-    level_lb = stretch_lower_bound(embed_grid(spec, g)) if family_of(spec).cells else None
+    level_lb = stretch_lower_bound(built) if built.plane is not None else None
     return girth_lb, level_lb
 
 
@@ -131,7 +132,7 @@ def cmd_construct(args) -> int:
     fam = family_of(spec)
     result = optimal_construction(spec)
     g = result.tree.host
-    girth_lb, level_lb = _lower_bounds(spec, g)
+    girth_lb, level_lb = _lower_bounds(result.family_graph)
     report = {
         "schema": 1,
         "command": "construct",
@@ -204,15 +205,14 @@ def cmd_levels(args) -> int:
     if args.family == "cube":
         if args.params:
             raise ParameterError("cube takes no parameters")
-        spec, graph, coords, row_of = Cube(), None, None, lambda label: 0
+        plane, coords, row_of = embed_cube(), None, lambda label: 0
     else:
         spec = _parse_spec(args.family, args.params, seed=0)
         fam = family_of(spec)
         if fam.cells is None:
             raise ParameterError(f"no embedding for family {args.family!r}")
         built = make(spec)
-        graph, coords, row_of = built.graph, built.meta["coordinates"], itemgetter(fam.row_axis)
-    plane = embed_grid(spec, graph)
+        plane, coords, row_of = built.plane, built.meta["coordinates"], itemgetter(fam.row_axis)
     levels = face_levels(plane)
     if args.dual_dot:
         print(overlay_dot(plane, coordinates=coords), end="")
@@ -282,7 +282,7 @@ def cmd_reproduce(args) -> int:
     for label, spec, run_exact in _reproduce_rows():
         result = optimal_construction(spec)
         g = result.tree.host
-        girth_lb, level_lb = _lower_bounds(spec, g)
+        girth_lb, level_lb = _lower_bounds(result.family_graph)
         exact_sigma = None
         if run_exact:
             exact_sigma = sigma_exact(g, max_trees=args.max_trees).sigma

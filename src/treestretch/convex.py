@@ -69,9 +69,6 @@ class ConvexInstance:
     def m(self) -> int:
         return len(self.sigma)
 
-    def x_vertex(self, i: int) -> int:
-        return i
-
     def y_vertex(self, j: int) -> int:
         return self.m + j
 

@@ -4,13 +4,15 @@ A family is a spec dataclass, which validates its parameters, and a record in
 ``FAMILIES``, which pairs the family's command-line parsers and its graph
 generator with the closed-form minimum stretch and an explicit tree attaining
 it. A plane grid gives its cells in place of a generator: its lattice points
-in vertex order and its faces as vertex cycles, from which both its graph and
-its embedding are derived; it adds the closed-form maximum face level and the
-stretch bound that level certifies. ``make``,
-``sigma_formula``, ``optimal_construction``, ``embed_grid``,
-``lambda_max_formula``, ``stretch_lower_bound`` and the command line all look
-the family up in ``FAMILIES``, so adding a family means one spec dataclass and
-one record in this module. The seeded random helpers feed the tests and the
+in vertex order and its faces as vertex cycles. ``make`` builds the grid's
+plane graph once from those faces and returns it as ``FamilyGraph.plane``,
+with the graph read from it; the record adds the closed-form maximum face
+level and the stretch bound that level certifies, which
+``stretch_lower_bound`` applies to that plane. ``make``, ``sigma_formula``,
+``optimal_construction``, ``embed_grid``, ``lambda_max_formula``,
+``stretch_lower_bound`` and the command line all look the family up in
+``FAMILIES`` by its spec, so adding a family means one spec dataclass and one
+record in this module. The seeded random helpers feed the tests and the
 command line.
 
 Vertex numbering of the generated graphs:
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .convex import ConvexInstance, construct_tree, instance_to_json, validate_instance
 from .graphs import (
@@ -51,7 +53,7 @@ from .graphs import (
     stretch,
     tree_path,
 )
-from .planar import Cube, PlaneGraph, embed_cube, face_levels, make_plane_graph
+from .planar import PlaneGraph, face_levels, make_plane_graph
 
 # ---------------------------------------------------------------------------
 # Parameter specs; each validates its parameters
@@ -217,9 +219,12 @@ FamilySpec = (
 
 @dataclass(frozen=True)
 class FamilyGraph:
+    """A family's graph and metadata; ``plane`` is a grid's embedding, else None."""
+
     spec: FamilySpec
     graph: Graph
     meta: dict = field(compare=False)
+    plane: PlaneGraph | None = field(default=None, compare=False)
 
 
 Parser = Callable[[str, Sequence[str], int], FamilySpec]
@@ -234,11 +239,12 @@ class Family:
     the graph and its metadata; ``sigma`` and ``tree`` receive that graph and
     are only called when it is not a tree. ``describe`` gives the spec's
     fields for reports. A plane grid gives ``cells`` (its lattice points and
-    labelled faces, from which both its graph and its embedding follow) in
-    place of ``graph``, and ``row_axis`` (the coordinate of a point, or of a
-    face label, that names its row), ``lambda_max`` (closed-form deepest face
-    level) and ``level_bound`` (the stretch bound a face of that level
-    certifies).
+    labelled faces; ``make`` builds its plane graph from these faces once,
+    and its graph is that plane's) in place of ``graph``, and ``row_axis``
+    (the coordinate of a point, or of a face label, that names its row),
+    ``lambda_max`` (closed-form deepest face level) and ``level_bound`` (the
+    stretch bound a face of that level certifies, which
+    ``stretch_lower_bound`` applies to the plane ``make`` built).
     """
 
     name: str
@@ -258,7 +264,7 @@ class Family:
 class FormulaResult:
     """A family's optimal stretch with a tree and certificate attaining it."""
 
-    spec: FamilySpec
+    family_graph: FamilyGraph
     sigma: int
     tree: SpanningTree
     certificate: StretchCertificate
@@ -592,9 +598,9 @@ def _convex_graph(spec: GeneralizedConvex) -> tuple[Graph, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Plane grids. Each grid is described once, by its cells, and both its graph
-# and its embedding come from that description (``_grid_graph`` and
-# ``embed_grid``). Faces are vertex cycles listed in the documented order with
+# Plane grids. Each grid is described once, by its cells; ``_grid_graph``
+# builds its plane graph from those faces once, and the graph is read from
+# that plane. Faces are vertex cycles listed in the documented order with
 # the outer face last, and each bounded face is labelled by the lattice
 # position of the unit square it lies in: (i, j) cells for the rectangular
 # grid, (x, y, "up"/"down") for the triangular grid, (x, y, "lower"/"upper")
@@ -632,19 +638,16 @@ def _outline(corners: Sequence[Point], vertex: Callable[[Point], int]) -> tuple[
     return tuple(walk)
 
 
-def _grid_graph(fam: Family, grid: GridCells) -> tuple[Graph, dict]:
-    """The graph whose edges are the sides of the grid's faces, and its metadata.
+def _grid_graph(fam: Family, spec: FamilySpec) -> FamilyGraph:
+    """The grid's plane graph, built from its faces, with its graph and metadata.
 
     An edge is horizontal when its ends share the coordinate on the record's
     row axis, vertical when they share the other one, and slant otherwise.
     """
-    sides = set()
-    for f in grid.faces:
-        a = f[-1]
-        for b in f:
-            sides.add((a, b) if a < b else (b, a))
-            a = b
-    g = make_graph(len(grid.points), sides)
+    grid = fam.cells(spec)
+    labels = [label for label, _ in grid.cells] + ["outer"]
+    plane = make_plane_graph(len(grid.points), grid.faces, len(labels) - 1, labels)
+    g = plane.graph
     row, col, points = fam.row_axis, 1 - fam.row_axis, grid.points
     kinds = [
         "horizontal" if points[u][row] == points[v][row]
@@ -658,7 +661,7 @@ def _grid_graph(fam: Family, grid: GridCells) -> tuple[Graph, dict]:
         "coordinates": [list(p) for p in points],
         "edge_kinds": kinds,
     }
-    return g, meta
+    return FamilyGraph(spec, g, meta, plane)
 
 
 def _rect_cells(spec: RectGrid) -> GridCells:
@@ -946,7 +949,8 @@ def sigma_formula(spec: FamilySpec) -> int:
 
 def optimal_construction(spec: FamilySpec) -> FormulaResult:
     """The formula value plus an explicit tree attaining it, verified."""
-    g = make(spec).graph
+    built = make(spec)
+    g = built.graph
     fam = family_of(spec)
     sigma = _sigma(fam, spec, g)
     degenerate = g.m == g.n - 1
@@ -956,12 +960,14 @@ def optimal_construction(spec: FamilySpec) -> FormulaResult:
         raise ValidationError(
             f"construction for {spec!r} has stretch {cert.stretch}, formula says {sigma}"
         )
-    return FormulaResult(spec=spec, sigma=sigma, tree=tree, certificate=cert, degenerate=degenerate)
+    return FormulaResult(
+        family_graph=built, sigma=sigma, tree=tree, certificate=cert, degenerate=degenerate
+    )
 
 
-def family_of(spec: FamilySpec | str | None) -> Family | None:
-    """The record of a family, found by spec or by name; None when there is none."""
-    return next((f for f in FAMILIES if isinstance(spec, f.spec) or spec == f.name), None)
+def family_of(spec: FamilySpec) -> Family | None:
+    """The record of a family spec; None when there is none."""
+    return next((f for f in FAMILIES if isinstance(spec, f.spec)), None)
 
 
 def make(spec: FamilySpec) -> FamilyGraph:
@@ -970,35 +976,24 @@ def make(spec: FamilySpec) -> FamilyGraph:
     if fam is None:
         raise ParameterError(f"unknown family spec: {spec!r}")
     if fam.cells is not None:
-        return FamilyGraph(spec, *_grid_graph(fam, fam.cells(spec)))
+        return _grid_graph(fam, spec)
     return FamilyGraph(spec, *fam.graph(spec))
-
-
-def make_split(clique_size: int, y_adjacency: Sequence[Iterable[int]]) -> FamilyGraph:
-    """Split graph from explicit Y-neighbor sets; X first, Y after."""
-    return make(Split(clique_size, tuple(frozenset(s) for s in y_adjacency)))
 
 
 # ---------------------------------------------------------------------------
 # Face levels of the plane grids
 
 
-def embed_grid(spec: FamilySpec | Cube, graph: Graph | None = None) -> PlaneGraph:
-    """Plane embedding of a grid family or the cube, outer face listed last.
+def embed_grid(spec: FamilySpec) -> PlaneGraph:
+    """Plane embedding of a grid family, outer face listed last.
 
-    A grid's faces, their order and their labels come from the cells of its
-    family record; ``graph`` is embedded when the caller has built the grid
-    already. Cube: the six axis-aligned faces, the outer face being bit 0 = 0.
+    The faces, their order and their labels come from the cells of the
+    family record.
     """
-    if isinstance(spec, Cube):
-        return embed_cube()
     fam = family_of(spec)
     if fam is None or fam.cells is None:
         raise ParameterError(f"no analytic embedding for {spec!r}")
-    grid = fam.cells(spec)
-    labels = [label for label, _ in grid.cells] + ["outer"]
-    g = make(spec).graph if graph is None else graph
-    return make_plane_graph(g, grid.faces, len(labels) - 1, fam.name, labels)
+    return make(spec).plane
 
 
 def lambda_max_formula(spec: FamilySpec) -> int:
@@ -1009,17 +1004,15 @@ def lambda_max_formula(spec: FamilySpec) -> int:
     return fam.lambda_max(spec)
 
 
-def stretch_lower_bound(plane: PlaneGraph) -> int:
-    """Stretch lower bound certified by the deepest face level.
+def stretch_lower_bound(built: FamilyGraph) -> int:
+    """Stretch lower bound certified by the deepest face level of a grid.
 
     Every spanning tree of the rectangular grid has stretch at least
     2*lambda_max + 1; for the triangulated families the bound is
-    lambda_max + 1. Embeddings without one of these family tags are refused:
-    no bound is established for them.
+    lambda_max + 1. Other families are refused: no bound is established for
+    them.
     """
-    fam = family_of(plane.family)
-    if fam is None or fam.level_bound is None:
-        raise DomainError(
-            f"no face-level stretch bound is established for family {plane.family!r}"
-        )
-    return fam.level_bound(face_levels(plane).lambda_max)
+    fam = family_of(built.spec)
+    if fam.level_bound is None:
+        raise DomainError(f"no face-level stretch bound is established for {built.spec!r}")
+    return fam.level_bound(face_levels(built.plane).lambda_max)

@@ -1,10 +1,12 @@
 """Plane embeddings, dual graphs, and face-level lower bounds.
 
-A plane graph is stored combinatorially: each face is a vertex cycle, whose
-sides are the edges joining consecutive vertices (the last vertex to the
-first), with one face marked as the outer face. Validation requires every edge
-to lie on exactly two distinct faces (so the dual graph is loop-free) and
-checks Euler's formula, which pins the face count.
+A plane graph is given by its faces alone: each face is a vertex cycle, whose
+sides join consecutive vertices (the last vertex to the first), with one face
+marked as the outer face. The graph's edges are the face sides, so this module
+is the only place that derives a graph from its faces. Validation requires
+every side to lie on exactly two distinct faces (so the dual graph is
+loop-free), the graph to be connected, and Euler's formula, which pins the
+face count.
 
 A plane graph is its own dual: dual edge i crosses primal edge i and joins
 the two faces in ``edge_faces[i]``. Parallel dual edges are allowed (two
@@ -39,11 +41,6 @@ from .graphs import (
 
 
 @dataclass(frozen=True)
-class Cube:
-    """The 3-dimensional hypercube Q_3 (vertices are the 3-bit strings)."""
-
-
-@dataclass(frozen=True)
 class PlaneGraph:
     """A graph with a combinatorial embedding: faces as vertex cycles.
 
@@ -55,7 +52,6 @@ class PlaneGraph:
     faces: tuple[tuple[int, ...], ...]
     outer_face: int
     edge_faces: tuple[tuple[int, int], ...] = field(compare=False)
-    family: str | None = None
     labels: tuple[Hashable, ...] = field(default=(), compare=False)
 
     @property
@@ -77,60 +73,57 @@ class PlaneGraph:
 
 
 def make_plane_graph(
-    graph: Graph,
+    n: int,
     faces: Iterable[Iterable[int]],
     outer_face: int,
-    family: str | None = None,
     labels: Iterable[Hashable] | None = None,
 ) -> PlaneGraph:
-    """Validate a combinatorial embedding and assemble the plane graph.
+    """The plane graph on vertices 0..n-1 whose edges are the sides of its faces.
 
-    Each face is a vertex cycle. Checks: the graph is connected, the outer
-    face index is in range, there is one label per face, every face has at
-    least three vertices, consecutive vertices of a face (the last and the
-    first too) are adjacent, every edge lies on exactly two distinct faces,
-    and the face count satisfies Euler's formula f = m - n + 2. ``labels``
-    default to the face indices.
+    Each face is a vertex cycle; its sides join consecutive vertices, the last
+    and the first too. Checks: the outer face index is in range, there is one
+    label per face, every face has at least three vertices, the sides join
+    distinct vertices in range, every side lies on exactly two distinct faces,
+    the graph is connected, and the face count satisfies Euler's formula
+    f = m - n + 2. ``labels`` default to the face indices.
     """
     face_tuples = tuple(tuple(int(v) for v in f) for f in faces)
     labels = tuple(range(len(face_tuples)) if labels is None else labels)
     if len(labels) != len(face_tuples):
         raise ValidationError(f"{len(labels)} labels for {len(face_tuples)} faces")
-    if not is_connected(graph):
-        raise ValidationError("plane graphs must be connected")
     if not (0 <= outer_face < len(face_tuples)):
         raise ValidationError(f"outer face index {outer_face} out of range")
-    edge_index = graph.edge_index
-    incident: list[list[int]] = [[] for _ in range(graph.m)]
+    side_faces: dict[tuple[int, int], list[int]] = {}
     for k, f in enumerate(face_tuples):
         if len(f) < 3:
             raise ValidationError(f"face {k} has fewer than three vertices")
         a = f[-1]
         for b in f:
-            e = edge_index.get((a, b) if a < b else (b, a))
-            if e is None:
-                raise ValidationError(f"face {k} steps from {a} to {b}, which is not an edge")
-            incident[e].append(k)
+            side_faces.setdefault((a, b) if a < b else (b, a), []).append(k)
             a = b
-    for e, facelist in enumerate(incident):
+    graph = make_graph(n, side_faces)
+    edge_faces = []
+    for e, side in enumerate(graph.edges):
+        facelist = side_faces[side]
         if len(facelist) != 2:
             raise ValidationError(
                 f"edge {e} lies on {len(facelist)} face side(s), expected exactly 2"
             )
         if facelist[0] == facelist[1]:
             raise ValidationError(f"edge {e} is a bridge (both sides on face {facelist[0]})")
+        edge_faces.append((min(facelist), max(facelist)))
+    if not is_connected(graph):
+        raise ValidationError("plane graphs must be connected")
     if len(face_tuples) != graph.m - graph.n + 2:
         raise ValidationError(
             f"face count {len(face_tuples)} violates Euler's formula "
             f"(expected {graph.m - graph.n + 2})"
         )
-    edge_faces = tuple((min(fl), max(fl)) for fl in incident)
     return PlaneGraph(
         graph=graph,
         faces=face_tuples,
         outer_face=outer_face,
-        edge_faces=edge_faces,
-        family=family,
+        edge_faces=tuple(edge_faces),
         labels=labels,
     )
 
@@ -139,7 +132,6 @@ def make_plane_graph(
 class FaceLevels:
     """Breadth-first face distances from the outer face in the dual graph."""
 
-    plane: PlaneGraph
     level: tuple[int, ...]
     predecessor: tuple[int, ...]
 
@@ -161,7 +153,7 @@ def face_levels(plane: PlaneGraph) -> FaceLevels:
                 level[other] = level[f] + 1
                 pred[other] = f
                 queue.append(other)
-    return FaceLevels(plane=plane, level=tuple(level), predecessor=tuple(pred))
+    return FaceLevels(level=tuple(level), predecessor=tuple(pred))
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +162,13 @@ def face_levels(plane: PlaneGraph) -> FaceLevels:
 
 def embed_cube() -> PlaneGraph:
     """The cube's six axis-aligned faces, the outer face being bit 0 = 0."""
-    edges = []
-    for u in range(8):
-        for bit in range(3):
-            v = u ^ (1 << bit)
-            if u < v:
-                edges.append((u, v))
-    g = make_graph(8, edges)
     gray = [(0, 0), (0, 1), (1, 1), (1, 0)]
     faces = []
     for axis in range(3):
         o1, o2 = [b for b in range(3) if b != axis]
         for value in (0, 1):
             faces.append(tuple((value << axis) | (g1 << o1) | (g2 << o2) for g1, g2 in gray))
-    return make_plane_graph(g, faces, 0, family="cube")
+    return make_plane_graph(8, faces, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable
 from .graphs import (
     DomainError,
     Graph,
+    ParameterError,
     ResourceLimitError,
     SpanningTree,
     ValidationError,
@@ -257,8 +258,11 @@ def sigma_exact(
     the girth floor is met. With pruning off, every tree is enumerated (useful as
     an oracle and for exact tree counts). ``max_trees`` caps the finished trees
     the search reaches, not its work: a pruned search may explore many branches
-    per tree, so a small cap does not bound the running time.
+    per tree, so a small cap does not bound the running time; it must be at
+    least 1.
     """
+    if max_trees < 1:
+        raise ParameterError(f"the spanning-tree cap must be at least 1, got {max_trees}")
     if not is_connected(g):
         raise ValidationError("sigma_exact requires a connected graph")
     n, m = g.n, g.m

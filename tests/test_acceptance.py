@@ -19,6 +19,7 @@ from treestretch.families import (
     Diamond,
     Petersen,
     RectGrid,
+    Split,
     TriGrid,
     TriRectGrid,
     Wheel,
@@ -26,7 +27,6 @@ from treestretch.families import (
     embed_grid,
     lambda_max_formula,
     make,
-    make_split,
     optimal_construction,
     petersen_tree,
     random_convex_spec,
@@ -47,9 +47,9 @@ from treestretch.graphs import (
     stretch,
 )
 from treestretch.planar import (
-    Cube,
     cotree_dual_tree,
     dual_fundamental_cut,
+    embed_cube,
     face_levels,
 )
 from treestretch.solver import (
@@ -141,7 +141,7 @@ def test_criterion_04_exhaustive_split_dichotomy():
                 if canon in seen:
                     continue
                 seen.add(canon)
-                fg = make_split(k, canon[1])
+                fg = make(Split(k, canon[1]))
                 g = fg.graph
                 clique = list(range(k))
                 independent = list(range(k, k + len(canon[1])))
@@ -222,7 +222,7 @@ def test_criterion_09_cycle_cut_duality_exhaustive():
         embed_grid(RectGrid(2, 3)),
         embed_grid(RectGrid(3, 3)),
         embed_grid(TriGrid(2)),
-        embed_grid(Cube()),
+        embed_cube(),
     ]
     expected_counts = [15, 192, 54, 384]
     for plane, expected in zip(planes, expected_counts):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from treestretch import families
+from treestretch import families, planar
 from treestretch.cli import main
 
 
@@ -106,23 +107,34 @@ class TestConstruct:
         ids=["rect-grid", "tri-grid", "tri-rect-grid", "levels-tri-grid"],
     )
     def test_large_grid_bounds_with_one_embedding(self, capsys, monkeypatch, argv, girth_bound):
-        builds, embeddings = [], []
-        make_graph, make_plane_graph = families.make_graph, families.make_plane_graph
+        builds, embeddings, cells = [], [], []
+        make_graph, make_plane_graph = planar.make_graph, families.make_plane_graph
 
         def counted_build(*args, **kwargs):
             builds.append(args[0])
             return make_graph(*args, **kwargs)
 
         def counted_embedding(*args, **kwargs):
-            embeddings.append(args[3])
+            embeddings.append(args[0])
             return make_plane_graph(*args, **kwargs)
 
-        monkeypatch.setattr(families, "make_graph", counted_build)
+        def counted_cells(fam):
+            def cells_of(spec):
+                cells.append(fam.name)
+                return fam.cells(spec)
+
+            return dataclasses.replace(fam, cells=cells_of)
+
+        monkeypatch.setattr(planar, "make_graph", counted_build)
         monkeypatch.setattr(families, "make_plane_graph", counted_embedding)
+        monkeypatch.setattr(
+            families, "FAMILIES", tuple(counted_cells(f) if f.cells else f for f in families.FAMILIES)
+        )
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(builds) == 1
-        assert embeddings == [argv[1]]
+        assert len(embeddings) == 1
+        assert cells == [argv[1]]
         if girth_bound is not None:
             report = json.loads(out)
             assert report["lower_bound_girth"] == girth_bound
@@ -156,6 +168,14 @@ class TestSolve:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_refused(self, capsys, monkeypatch, cap):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'))
+        code, out, err = run_cli(capsys, "solve", "-", "--max-trees", cap)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the spanning-tree cap must be at least 1, got {cap}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/graph.json")
@@ -194,6 +214,17 @@ def test_malformed_json_is_an_error(capsys, monkeypatch, case):
     assert code == 1
     assert out == ""
     assert err.startswith("error: malformed")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "convex"])
+def test_non_utf8_file_is_an_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 2, "edges": [[0, 1]], "meta": {"name": "\xff"}}')
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}:")
     assert "Traceback" not in err
 
 

@@ -23,7 +23,6 @@ from treestretch.families import (
     double_star_tree,
     embed_grid,
     make,
-    make_split,
     multipartite_tree,
     optimal_construction,
     petersen_tree,
@@ -156,7 +155,7 @@ class TestMultipartite:
 
 class TestSplitClassification:
     def test_sigma_two_example(self):
-        fg = make_split(3, [{0, 1}, {1, 2}])
+        fg = make(Split(3, [{0, 1}, {1, 2}]))
         clique, independent = [0, 1, 2], [3, 4]
         cls = classify_split(fg.graph, clique, independent)
         assert cls.sigma == 2
@@ -166,7 +165,7 @@ class TestSplitClassification:
         assert stretch(fg.graph, t).stretch == 2
 
     def test_sigma_three_example(self):
-        fg = make_split(3, [{0, 1}, {1, 2}, {0, 2}])
+        fg = make(Split(3, [{0, 1}, {1, 2}, {0, 2}]))
         clique, independent = [0, 1, 2], [3, 4, 5]
         cls = classify_split(fg.graph, clique, independent)
         assert cls.sigma == 3
@@ -180,19 +179,19 @@ class TestSplitClassification:
         assert stretch(fg.graph, t).stretch == 3
 
     def test_bare_clique_is_sigma_two(self):
-        fg = make_split(3, [])
+        fg = make(Split(3, []))
         cls = classify_split(fg.graph, [0, 1, 2], [])
         assert cls.sigma == 2
 
     def test_pendants_do_not_force_three(self):
-        fg = make_split(3, [{0}, {0}, {1}])
+        fg = make(Split(3, [{0}, {0}, {1}]))
         cls = classify_split(fg.graph, [0, 1, 2], [3, 4, 5])
         assert cls.sigma == 2
         t = split_tree(fg.graph, [0, 1, 2], [3, 4, 5])
         assert stretch(fg.graph, t).stretch == 2
 
     def test_tree_refused(self):
-        fg = make_split(2, [{0}])
+        fg = make(Split(2, [{0}]))
         with pytest.raises(DomainError, match="dichotomy does not apply"):
             classify_split(fg.graph, [0, 1], [2])
 
@@ -210,7 +209,7 @@ class TestSplitClassification:
             (4, [{0, 1, 2, 3}, {0}, {3}]),
         ]
         for k, adjacency in samples:
-            fg = make_split(k, adjacency)
+            fg = make(Split(k, adjacency))
             clique = list(range(k))
             independent = list(range(k, k + len(adjacency)))
             cls = classify_split(fg.graph, clique, independent)

@@ -70,7 +70,6 @@ class TestValidateInstance:
         assert inst.n_y == 5
         assert inst.graph.n == 8
         assert inst.paths[0] == (0, 1, 2)
-        assert inst.x_vertex(1) == 1
         assert inst.y_vertex(0) == 3
 
     def test_non_subpath_rejected(self):

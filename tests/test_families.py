@@ -22,7 +22,6 @@ from treestretch.families import (
     Wheel,
     chain_instance,
     make,
-    make_split,
     random_convex_spec,
     random_glued_blocks,
     random_split_spec,
@@ -96,17 +95,17 @@ class TestBasicFamilies:
 
 class TestSplitFamily:
     def test_spec_example_six_vertices(self):
-        fg = make_split(3, [{0, 1}, {1, 2}, {0, 2}])
+        fg = make(Split(3, [{0, 1}, {1, 2}, {0, 2}]))
         assert fg.graph.n == 6 and fg.graph.m == 9
 
     def test_spec_example_path(self):
-        fg = make_split(2, [{0}])
+        fg = make(Split(2, [{0}]))
         g = fg.graph
         assert g.n == 3 and g.m == 2
         assert g.degree(0) == 2
 
     def test_spec_example_bare_clique(self):
-        fg = make_split(4, [])
+        fg = make(Split(4, []))
         assert fg.graph.m == 6
 
     def test_validation(self):

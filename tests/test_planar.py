@@ -7,17 +7,19 @@ from collections import Counter
 import pytest
 
 from treestretch.families import (
+    Petersen,
     RectGrid,
     TriGrid,
     TriRectGrid,
     embed_grid,
     lambda_max_formula,
+    make,
     stretch_lower_bound,
 )
 from treestretch.planar import (
-    Cube,
     cotree_dual_tree,
     dual_fundamental_cut,
+    embed_cube,
     face_levels,
     is_dual_spanning_tree,
     make_plane_graph,
@@ -34,44 +36,58 @@ from treestretch.graphs import (
 from treestretch.solver import enumerate_spanning_trees
 
 
-def triangle_with_faces():
-    g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    return g, [(0, 1, 2), (0, 1, 2)]
+TRIANGLE_FACES = [(0, 1, 2), (0, 1, 2)]
+
+# K_4 drawn on the projective plane: three 4-cycles, every edge on two of
+# them. Connected, but one face short of Euler's formula for the plane.
+HEMI_CUBE_FACES = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
 
 
 class TestMakePlaneGraph:
     def test_triangle(self):
-        g, faces = triangle_with_faces()
-        plane = make_plane_graph(g, faces, outer_face=1)
+        plane = make_plane_graph(3, TRIANGLE_FACES, outer_face=1)
+        assert plane.graph.edges == ((0, 1), (0, 2), (1, 2))
         assert plane.n_faces == 2
         assert plane.bounded_faces == [0]
         assert plane.edge_faces == ((0, 1), (0, 1), (0, 1))
 
     def test_euler_mismatch_rejected(self):
-        g, faces = triangle_with_faces()
-        with pytest.raises(ValidationError):
-            make_plane_graph(g, faces[:1], outer_face=0)
+        with pytest.raises(ValidationError, match="Euler"):
+            make_plane_graph(4, HEMI_CUBE_FACES, outer_face=0)
 
-    def test_non_adjacent_step_rejected(self):
-        g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        with pytest.raises(ValidationError, match="from 0 to 2, which is not an edge"):
-            make_plane_graph(g, [(0, 1, 2, 3), (0, 2, 1, 3)], outer_face=1)
+    def test_disconnected_rejected(self):
+        # With a fifth, isolated vertex the face count meets Euler's formula.
+        with pytest.raises(ValidationError, match="connected"):
+            make_plane_graph(5, HEMI_CUBE_FACES, outer_face=0)
+
+    def test_side_on_one_face_rejected(self):
+        with pytest.raises(ValidationError, match="edge 0 lies on 1 face side"):
+            make_plane_graph(4, [(0, 1, 2, 3), (0, 2, 1, 3)], outer_face=1)
 
     def test_two_vertex_face_rejected(self):
-        g, _ = triangle_with_faces()
         with pytest.raises(ValidationError, match="fewer than three vertices"):
-            make_plane_graph(g, [(0, 1), (0, 1, 2)], outer_face=1)
+            make_plane_graph(3, [(0, 1), (0, 1, 2)], outer_face=1)
 
     def test_bridge_rejected(self):
-        g = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         faces = [(0, 1, 2), (0, 1, 2, 3, 2)]
         with pytest.raises(ValidationError, match="bridge"):
-            make_plane_graph(g, faces, outer_face=1)
+            make_plane_graph(4, faces, outer_face=1)
+
+    def test_vertex_out_of_range_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            make_plane_graph(3, [(0, 1, 3), (0, 1, 3)], outer_face=1)
+
+    def test_repeated_consecutive_vertex_rejected(self):
+        with pytest.raises(ValidationError, match="self-loop at vertex 1"):
+            make_plane_graph(3, [(0, 1, 1, 2), (0, 1, 2)], outer_face=1)
 
     def test_outer_face_index_checked(self):
-        g, faces = triangle_with_faces()
-        with pytest.raises(ValidationError):
-            make_plane_graph(g, faces, outer_face=2)
+        with pytest.raises(ValidationError, match="outer face index 2"):
+            make_plane_graph(3, TRIANGLE_FACES, outer_face=2)
+
+    def test_one_label_per_face(self):
+        with pytest.raises(ValidationError, match="1 labels for 2 faces"):
+            make_plane_graph(3, TRIANGLE_FACES, outer_face=1, labels=["inner"])
 
 
 class TestEmbeddings:
@@ -81,7 +97,6 @@ class TestEmbeddings:
     def test_rect_face_count(self, m, n):
         plane = embed_grid(RectGrid(m, n))
         assert len(plane.bounded_faces) == (m - 1) * (n - 1)
-        assert plane.family == "rect-grid"
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_tri_face_count(self, n):
@@ -94,7 +109,7 @@ class TestEmbeddings:
         assert len(plane.bounded_faces) == 2 * (m - 1) * (n - 1)
 
     def test_cube_face_count(self):
-        plane = embed_grid(Cube())
+        plane = embed_cube()
         assert plane.graph.n == 8 and plane.graph.m == 12
         assert len(plane.bounded_faces) == 5
 
@@ -126,7 +141,7 @@ class TestFaceLevels:
         assert fl.lambda_max == 3
 
     def test_cube_frozen(self):
-        plane = embed_grid(Cube())
+        plane = embed_cube()
         fl = face_levels(plane)
         assert sorted(fl.level[f] for f in plane.bounded_faces) == [1, 1, 1, 1, 2]
 
@@ -162,29 +177,29 @@ class TestLambdaFormulas:
                 assert face_levels(embed_grid(spec)).lambda_max == m - 1
                 assert lambda_max_formula(spec) == m - 1
 
-    def test_no_formula_for_cube(self):
+    def test_no_formula_for_non_grid(self):
         with pytest.raises(ParameterError):
-            lambda_max_formula(Cube())
+            lambda_max_formula(Petersen())
 
 
 class TestStretchLowerBound:
     def test_rect(self):
-        assert stretch_lower_bound(embed_grid(RectGrid(4, 5))) == 5
+        assert stretch_lower_bound(make(RectGrid(4, 5))) == 5
 
     def test_tri(self):
-        assert stretch_lower_bound(embed_grid(TriGrid(4))) == 4
+        assert stretch_lower_bound(make(TriGrid(4))) == 4
 
     def test_tri_rect(self):
-        assert stretch_lower_bound(embed_grid(TriRectGrid(3, 4))) == 3
+        assert stretch_lower_bound(make(TriRectGrid(3, 4))) == 3
 
-    def test_untagged_family_refused(self):
+    def test_non_grid_family_refused(self):
         with pytest.raises(DomainError):
-            stretch_lower_bound(embed_grid(Cube()))
+            stretch_lower_bound(make(Petersen()))
 
 
 class TestDualGraph:
     def test_cube_dual_is_octahedron(self):
-        plane = embed_grid(Cube())
+        plane = embed_cube()
         assert plane.n_faces == 6
         degrees = [len(plane.face_adjacency[f]) for f in range(6)]
         assert degrees == [4] * 6

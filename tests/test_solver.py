@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treestretch.graphs import (
     DomainError,
+    ParameterError,
     ResourceLimitError,
     ValidationError,
     is_connected,
@@ -180,6 +181,11 @@ class TestSigmaExact:
         with pytest.raises(ResourceLimitError) as exc_info:
             sigma_exact(complete_graph(5), use_pruning=False, max_trees=10)
         assert exc_info.value.partial_count == 10
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(ParameterError, match="at least 1"):
+            sigma_exact(make_graph(2, [(0, 1)]), max_trees=cap)
 
     def test_cap_not_hit_when_pruning_finishes_first(self):
         res = sigma_exact(complete_graph(5), max_trees=10)
