@@ -53,13 +53,22 @@ from .graphs import (
     to_dot,
 )
 from .planar import embed_cube, face_levels, overlay_dot
-from .solver import DEFAULT_MAX_TREES, lower_bound_girth, sigma_exact
+from .solver import DEFAULT_MAX_TREES, check_tree_cap, lower_bound_girth, sigma_exact
 
 
 _MAX_TREES_HELP = (
     "exit 2 when the search reaches more than this many spanning trees; the cap "
     "counts finished trees, not search work, so it does not bound the running time"
 )
+
+
+def _tree_cap(text: str) -> int:
+    """Parse ``--max-trees``; a cap below 1 is refused while parsing, before any output."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return check_tree_cap(cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,13 +270,15 @@ def _reproduce_rows():
     for k in range(10):
         spec = random_convex_spec(rng, max_x=4, max_y=4, require_cycle=True)
         rows.append((f"convex#{k}", spec, True))
-    exact_rect = {(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)}
+    exact_rect = {
+        (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5),
+    }
     for m in range(2, 6):
         for n in range(m, 6):
             rows.append((f"rect({m},{n})", RectGrid(m, n), (m, n) in exact_rect))
     for n in range(1, 7):
-        rows.append((f"tri({n})", TriGrid(n), n <= 3))
-    exact_tri_rect = {(2, 2), (2, 3), (3, 3)}
+        rows.append((f"tri({n})", TriGrid(n), n <= 4))
+    exact_tri_rect = {(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)}
     for m in range(2, 5):
         for n in range(m, 6):
             rows.append((f"trirect({m},{n})", TriRectGrid(m, n), (m, n) in exact_tri_rect))
@@ -321,14 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*")
     p.add_argument("--verify", action="store_true", help="also run the exact solver")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP)
+    p.add_argument(
+        "--max-trees", type=_tree_cap, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("solve", help="exact minimum stretch of a graph JSON file")
     p.add_argument("file", help="graph JSON path, or - for stdin")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP)
+    p.add_argument(
+        "--max-trees", type=_tree_cap, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("convex", help="validate and solve a host-tree instance JSON")
@@ -342,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("reproduce", help="run the verification matrix")
-    p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP)
+    p.add_argument(
+        "--max-trees", type=_tree_cap, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP
+    )
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -10,10 +10,13 @@ the edges not yet excluded still join its ends, so every branch ends in a tree.
 Along each branch the search tracks the largest tree distance already forced
 between endpoints of a graph edge: once two vertices share a component of the
 partial forest, the path between them is final, so that distance is a sound lower
-bound on the finished tree's stretch. sigma_exact prunes with it against the best
-tree so far; enumeration uses no cutoff. The girth bound (shortest cycle length
-minus one) gives a global floor that stops the whole search as soon as it is
-attained.
+bound on the finished tree's stretch. sigma_exact prunes the include branch with
+it against the best tree so far. Once there is such a tree, of stretch c, the
+exclude branch is cut too: every excluded edge must still have a path of at most
+c - 1 edges through the forest and the undecided edges, or no tree below can beat
+c. Enumeration uses no cutoff and neither bound. The girth bound (shortest cycle
+length minus one) gives a global floor that stops the whole search as soon as it
+is attained. ``ExactResult.nodes`` counts the search's recursive steps.
 
 A hand-rolled Bareiss elimination provides the matrix-tree count in exact integer
 arithmetic as an independent cross-check on the enumerator.
@@ -43,13 +46,25 @@ DEFAULT_MAX_TREES = 10_000_000
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of sigma_exact: optimum value, witness tree, and search statistics."""
+    """Outcome of sigma_exact: optimum value, witness tree, and search statistics.
+
+    ``nodes`` counts the recursive steps of the search; it is 0 when the input is
+    already a tree and no search runs.
+    """
 
     sigma: int
     optimal_tree: SpanningTree
     trees_enumerated: int
     lower_bound_used: int
     pruned: bool
+    nodes: int = 0
+
+
+def check_tree_cap(max_trees: int) -> int:
+    """Return ``max_trees`` if it is a usable spanning-tree cap (at least 1)."""
+    if max_trees < 1:
+        raise ParameterError(f"the spanning-tree cap must be at least 1, got {max_trees}")
+    return max_trees
 
 
 def lower_bound_girth(g: Graph) -> int:
@@ -127,6 +142,29 @@ class _TreeSearch:
     N, that is when u still reaches v without it. The invariant also means that no
     branch runs past the last edge: there N is the forest plus edges inside its
     components, so the forest already spans and the branch ended in a tree.
+
+    Once ``on_tree`` has returned a finite cutoff c, the exclude branch is cut by
+    stretch as well. Let G' be the forest plus ``edges[i+1:]``; skipped and
+    excluded edges are not in G'. The exclude branch is taken only if every
+    excluded edge k <= i, newest first, still has a path of at most c - 1 edges in
+    G'. Proof that this keeps every tree the search would report: each tree T
+    finished below this node consists of forest edges and edges of ``edges[i+1:]``,
+    so T is a subgraph of G' and d_T(a, b) >= d_G'(a, b) for every edge ab. An
+    excluded edge with no path of at most c - 1 edges in G' therefore has
+    d_T(a, b) >= c in every such T, so no T has stretch below c. The search reports
+    a tree only when its stretch is below the cutoff: the forest reaches n - 1
+    edges only through an include, so a leaf is always called straight from one,
+    with its forced distance below the cutoff; and at a leaf the forced distance
+    is the stretch, because every graph edge got its tree distance at the include
+    that joined its ends. The cutoff never rises, so the cut subtree holds no tree
+    the search would have reported, and the reported trees, their order and their
+    count stay the same.
+
+    The newest excluded edge is edge i itself. If its check passes, u reaches v
+    in G' without edge i, and G' holds only non-excluded edges, so ``joined(u, v)``
+    is already proved and its DFS is skipped. With no finite cutoff (enumeration,
+    ``use_pruning=False``, and the search before its first tree), the exclude
+    test is ``joined`` alone.
     """
 
     def __init__(self, g: Graph, max_trees: int):
@@ -135,6 +173,7 @@ class _TreeSearch:
         self.max_trees = max_trees
         self.included: list[int] = []
         self.count = 0
+        self.nodes = 0
 
     def run(self, on_tree: Callable[[int], float]) -> None:
         """Call ``on_tree(forced)`` on every tree reached, in include-first order.
@@ -151,6 +190,7 @@ class _TreeSearch:
             incident[b].append((j, a))
         excluded = [False] * len(edges)
         cutoff = math.inf
+        nodes = 0
 
         def forest_dists(start: int) -> list[int]:
             dist = [-1] * n
@@ -179,8 +219,40 @@ class _TreeSearch:
                         stack.append(b)
             return False
 
+        def within(a: int, b: int, i: int, limit: int) -> bool:
+            """Is b at most ``limit`` edges from a in the forest plus ``edges[i+1:]``?"""
+            seen = [False] * n
+            seen[a] = True
+            frontier = [a]
+            for _ in range(limit):
+                reached = []
+                for x in frontier:
+                    for y in forest[x]:
+                        if not seen[y]:
+                            if y == b:
+                                return True
+                            seen[y] = True
+                            reached.append(y)
+                    for j, y in incident[x]:
+                        if j > i and not seen[y]:
+                            if y == b:
+                                return True
+                            seen[y] = True
+                            reached.append(y)
+                frontier = reached
+            return False
+
+        def all_within(i: int, limit: int) -> bool:
+            """Does every excluded edge k <= i, newest first, pass ``within``?
+
+            A function of its own: a generator inside ``rec`` would make ``i`` a
+            closure cell, built on every call of the recursive step.
+            """
+            return all(within(*edges[k], i, limit) for k in range(i, -1, -1) if excluded[k])
+
         def rec(i: int, forced: int) -> None:
-            nonlocal cutoff
+            nonlocal cutoff, nodes
+            nodes += 1
             if len(included) == n - 1:
                 if self.count >= self.max_trees:
                     raise ResourceLimitError(
@@ -216,11 +288,14 @@ class _TreeSearch:
                 forest[u].pop()
                 included.pop()
             excluded[i] = True
-            if joined(u, v):
+            if joined(u, v) if cutoff == math.inf else all_within(i, cutoff - 1):
                 rec(i + 1, forced)
             excluded[i] = False
 
-        rec(0, 0)
+        try:
+            rec(0, 0)
+        finally:
+            self.nodes = nodes
 
 
 def enumerate_spanning_trees(
@@ -253,16 +328,17 @@ def sigma_exact(
 ) -> ExactResult:
     """Minimum stretch over all spanning trees, with a witness tree.
 
-    With pruning on, branches whose already-forced fundamental-cycle distance
-    cannot beat the incumbent are abandoned, and the search stops outright when
-    the girth floor is met. With pruning off, every tree is enumerated (useful as
+    With pruning on, branches that cannot beat the incumbent are abandoned: an
+    include whose already-forced fundamental-cycle distance reaches it, and an
+    exclude that leaves some excluded edge with no short enough path through the
+    forest and the undecided edges. The search stops outright when the girth
+    floor is met. With pruning off, every tree is enumerated (useful as
     an oracle and for exact tree counts). ``max_trees`` caps the finished trees
     the search reaches, not its work: a pruned search may explore many branches
     per tree, so a small cap does not bound the running time; it must be at
     least 1.
     """
-    if max_trees < 1:
-        raise ParameterError(f"the spanning-tree cap must be at least 1, got {max_trees}")
+    check_tree_cap(max_trees)
     if not is_connected(g):
         raise ValidationError("sigma_exact requires a connected graph")
     n, m = g.n, g.m
@@ -301,4 +377,5 @@ def sigma_exact(
         trees_enumerated=search.count,
         lower_bound_used=floor,
         pruned=use_pruning,
+        nodes=search.nodes,
     )

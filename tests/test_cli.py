@@ -169,10 +169,24 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 1
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_cap_below_one_refused(self, capsys, monkeypatch, cap):
+    # Every command with --max-trees refuses a cap below 1 before it prints anything,
+    # whether or not it would run the search.
+    @pytest.mark.parametrize(
+        "words, cap",
+        [
+            pytest.param(["solve", "-"], "0", id="0"),
+            pytest.param(["solve", "-"], "-3", id="-3"),
+            pytest.param(["construct", "rect-grid", "3", "3"], "-5", id="construct--5"),
+            pytest.param(["construct", "rect-grid", "3", "3"], "0", id="construct-0"),
+            pytest.param(
+                ["construct", "rect-grid", "3", "3", "--verify"], "-5", id="construct-verify--5"
+            ),
+            pytest.param(["reproduce"], "0", id="reproduce-0"),
+        ],
+    )
+    def test_cap_below_one_refused(self, capsys, monkeypatch, words, cap):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'))
-        code, out, err = run_cli(capsys, "solve", "-", "--max-trees", cap)
+        code, out, err = run_cli(capsys, *words, "--max-trees", cap)
         assert code == 1
         assert out == ""
         assert err == f"error: the spanning-tree cap must be at least 1, got {cap}\n"

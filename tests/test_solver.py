@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treestretch.families import (
+    CompleteMultipartite,
+    Petersen,
+    RectGrid,
+    TriGrid,
+    TriRectGrid,
+    make,
+)
 from treestretch.graphs import (
     DomainError,
     ParameterError,
@@ -18,6 +27,7 @@ from treestretch.graphs import (
     stretch,
 )
 from treestretch.solver import (
+    _TreeSearch,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
     lower_bound_girth,
@@ -207,26 +217,57 @@ class TestSigmaExact:
             assert slow.pruned is False
             assert fast.trees_enumerated <= slow.trees_enumerated
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_pruned_matches_unpruned_random(self, data):
-        n = data.draw(st.integers(3, 6))
+        n = data.draw(st.integers(4, 8))
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = data.draw(
-            st.lists(
-                st.sampled_from(all_pairs),
-                unique=True,
-                min_size=n - 1,
-                max_size=len(all_pairs),
-            )
-        )
-        g = make_graph(n, chosen)
-        if not is_connected(g):
+        # One coin per vertex pair gives graphs of every density up to K_n.
+        kept = data.draw(st.lists(st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))
+        g = make_graph(n, [pair for pair, keep in zip(all_pairs, kept) if keep])
+        if not is_connected(g) or g.m == n - 1:
             return
+        total = count_spanning_trees_kirchhoff(g)
+        if total > 20_000:
+            return
+        # The unpruned walk gives every tree's stretch in the search order. The pruned
+        # search reports exactly the trees that beat every earlier one, up to the floor.
+        stretches = []
+        walk = _TreeSearch(g, total)
+        walk.run(lambda forced: stretches.append(forced) or math.inf)
+        floor = lower_bound_girth(g)
+        records, best = 0, math.inf
+        for s in stretches:
+            if s < best:
+                records, best = records + 1, s
+                if best <= floor:
+                    break
         fast = sigma_exact(g)
         slow = sigma_exact(g, use_pruning=False)
-        assert fast.sigma == slow.sigma
+        assert fast.sigma == slow.sigma == min(stretches)
         assert fast.optimal_tree.tree_edges == slow.optimal_tree.tree_edges
+        assert slow.trees_enumerated == total
+        assert fast.trees_enumerated == records
+
+    # Search nodes (calls of the recursive step) of the pruned solve on canonical
+    # family graphs: machine-independent, so any change to the bounds shows here.
+    NODES = {
+        "Petersen": (Petersen(), 4, 21),
+        "K_{3,3,3}": (CompleteMultipartite((3, 3, 3)), 3, 1_750),
+        "rect(3,4)": (RectGrid(3, 4), 3, 194),
+        "rect(3,5)": (RectGrid(3, 5), 3, 656),
+        "rect(4,4)": (RectGrid(4, 4), 5, 1_191),
+        "rect(3,6)": (RectGrid(3, 6), 3, 2_050),
+        "trirect(3,4)": (TriRectGrid(3, 4), 3, 925),
+        "tri(4)": (TriGrid(4), 4, 9_859),
+        "rect(4,5)": (RectGrid(4, 5), 5, 8_469),
+    }
+
+    @pytest.mark.parametrize("name", list(NODES))
+    def test_search_nodes(self, name):
+        spec, sigma, nodes = self.NODES[name]
+        res = sigma_exact(make(spec).graph)
+        assert (res.sigma, res.nodes) == (sigma, nodes)
 
     def test_optimal_tree_attains_sigma(self):
         g = petersen_graph()
