@@ -10,13 +10,14 @@ the edges not yet excluded still join its ends, so every branch ends in a tree.
 Along each branch the search tracks the largest tree distance already forced
 between endpoints of a graph edge: once two vertices share a component of the
 partial forest, the path between them is final, so that distance is a sound lower
-bound on the finished tree's stretch. sigma_exact prunes the include branch with
-it against the best tree so far. Once there is such a tree, of stretch c, the
-exclude branch is cut too: every excluded edge must still have a path of at most
-c - 1 edges through the forest and the undecided edges, or no tree below can beat
-c. Enumeration uses no cutoff and neither bound. The girth bound (shortest cycle
-length minus one) gives a global floor that stops the whole search as soon as it
-is attained. ``ExactResult.nodes`` counts the search's recursive steps.
+bound on the finished tree's stretch. sigma_exact lowers the search's cutoff to the
+best stretch so far and prunes the include branch with it. Once there is such a
+tree, of stretch c, the exclude branch is cut too: every excluded edge must still
+have a path of at most c - 1 edges through the forest and the undecided edges, or
+no tree below can beat c. Enumeration uses no cutoff and neither bound. sigma_exact
+stops at the girth floor (shortest cycle length minus one) as soon as a tree
+attains it. The search is one loop over an explicit stack, with no recursion limit
+on its depth; ``ExactResult.nodes`` counts its steps that reach an edge or a tree.
 
 A hand-rolled Bareiss elimination provides the matrix-tree count in exact integer
 arithmetic as an independent cross-check on the enumerator.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graphs import (
     DomainError,
@@ -48,8 +49,8 @@ DEFAULT_MAX_TREES = 10_000_000
 class ExactResult:
     """Outcome of sigma_exact: optimum value, witness tree, and search statistics.
 
-    ``nodes`` counts the recursive steps of the search; it is 0 when the input is
-    already a tree and no search runs.
+    ``nodes`` counts the search's steps: edges reached, skipped ones too, and
+    finished trees. It is 0 when the input is already a tree and no search runs.
     """
 
     sigma: int
@@ -116,16 +117,17 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
     return sign * a[size - 1][size - 1]
 
 
-class _Stop(Exception):
-    """Internal: the girth floor was reached, the search is over."""
+_VISIT, _EXCLUDE, _CLEAR = range(3)
 
 
 class _TreeSearch:
     """Include-first walk over the spanning trees, shared by enumeration and the exact solve.
 
     The search keeps one forest, as adjacency lists, and one ``excluded`` flag per
-    edge. At edge i = (u, v) a BFS from u in the forest gives u's tree distances. If
-    it reaches v, edge i would close a cycle and is skipped. Otherwise the include
+    edge, and walks them in one loop over an explicit stack of frames. A node is
+    one step of that walk: an edge reached, skipped ones too, or a finished tree.
+    At edge i = (u, v) a BFS from u in the forest gives u's tree distances. If it
+    reaches v, edge i would close a cycle and is skipped. Otherwise the include
     branch adds it to the forest, and the exclude branch flags it, but only while a
     DFS from u over the non-excluded edges other than i still reaches v.
 
@@ -143,7 +145,7 @@ class _TreeSearch:
     branch runs past the last edge: there N is the forest plus edges inside its
     components, so the forest already spans and the branch ended in a tree.
 
-    Once ``on_tree`` has returned a finite cutoff c, the exclude branch is cut by
+    Once the caller has set a finite ``cutoff`` c, the exclude branch is cut by
     stretch as well. Let G' be the forest plus ``edges[i+1:]``; skipped and
     excluded edges are not in G'. The exclude branch is taken only if every
     excluded edge k <= i, newest first, still has a path of at most c - 1 edges in
@@ -153,12 +155,12 @@ class _TreeSearch:
     excluded edge with no path of at most c - 1 edges in G' therefore has
     d_T(a, b) >= c in every such T, so no T has stretch below c. The search reports
     a tree only when its stretch is below the cutoff: the forest reaches n - 1
-    edges only through an include, so a leaf is always called straight from one,
+    edges only through an include, so a leaf is always the next node after one,
     with its forced distance below the cutoff; and at a leaf the forced distance
     is the stretch, because every graph edge got its tree distance at the include
-    that joined its ends. The cutoff never rises, so the cut subtree holds no tree
-    the search would have reported, and the reported trees, their order and their
-    count stay the same.
+    that joined its ends. The caller only lowers the cutoff, so the cut subtree
+    holds no tree the search would have reported, and the reported trees, their
+    order and their count stay the same.
 
     The newest excluded edge is edge i itself. If its check passes, u reaches v
     in G' without edge i, and G' holds only non-excluded edges, so ``joined(u, v)``
@@ -174,23 +176,22 @@ class _TreeSearch:
         self.included: list[int] = []
         self.count = 0
         self.nodes = 0
+        self.cutoff: float = math.inf
 
-    def run(self, on_tree: Callable[[int], float]) -> None:
-        """Call ``on_tree(forced)`` on every tree reached, in include-first order.
+    def trees(self) -> Iterator[int]:
+        """Yield the stretch of every tree reached, in include-first order.
 
-        ``forced`` is the largest tree distance already forced between the ends
-        of a graph edge, and an edge is included only while it forces less than
-        the cutoff ``on_tree`` returned last.
+        The tree is ``self.included`` at the yield. An edge is included only while
+        ``forced``, the largest tree distance forced so far, stays below
+        ``self.cutoff``, which the caller may lower between trees.
         """
-        n, edges, included = self.n, self.edges, self.included
+        n, edges, included, cutoff = self.n, self.edges, self.included, self.cutoff
         forest: list[list[int]] = [[] for _ in range(n)]
         incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for j, (a, b) in enumerate(edges):
             incident[a].append((j, b))
             incident[b].append((j, a))
         excluded = [False] * len(edges)
-        cutoff = math.inf
-        nodes = 0
 
         def forest_dists(start: int) -> list[int]:
             dist = [-1] * n
@@ -245,57 +246,67 @@ class _TreeSearch:
         def all_within(i: int, limit: int) -> bool:
             """Does every excluded edge k <= i, newest first, pass ``within``?
 
-            A function of its own: a generator inside ``rec`` would make ``i`` a
-            closure cell, built on every call of the recursive step.
+            Not inline: a generator in ``trees`` would make its ``i`` a closure cell.
             """
             return all(within(*edges[k], i, limit) for k in range(i, -1, -1) if excluded[k])
 
-        def rec(i: int, forced: int) -> None:
-            nonlocal cutoff, nodes
-            nodes += 1
-            if len(included) == n - 1:
-                if self.count >= self.max_trees:
-                    raise ResourceLimitError(
-                        f"spanning-tree cap of {self.max_trees} exceeded", self.count
-                    )
-                self.count += 1
-                cutoff = on_tree(forced)
-                return
-            u, v = edges[i]
-            du = forest_dists(u)
-            if du[v] >= 0:
-                rec(i + 1, forced)  # would close a cycle: skipped, not flagged as excluded
-                return
-            # Including edge i merges the components of u and v; every graph edge
-            # crossing them gets its final tree distance right now.
-            dv = forest_dists(v)
-            nf = forced
-            for a, b in edges:
-                if du[a] >= 0 and dv[b] >= 0:
-                    d = du[a] + 1 + dv[b]
-                elif du[b] >= 0 and dv[a] >= 0:
-                    d = du[b] + 1 + dv[a]
-                else:
+        # A frame (i, forced, step) is the root, edge i's exclude branch (popped when its
+        # include branch is done) or the clearing of edge i's flag (when that one is).
+        stack = [(0, 0, _VISIT)]
+        while stack:
+            i, forced, step = stack.pop()
+            if step == _CLEAR:
+                excluded[i] = False
+                continue
+            if step == _EXCLUDE:
+                u, v = edges[i]
+                if included and included[-1] == i:
+                    included.pop()
+                    forest[u].pop()
+                    forest[v].pop()
+                excluded[i] = True
+                if not (joined(u, v) if cutoff == math.inf else all_within(i, cutoff - 1)):
+                    excluded[i] = False
                     continue
-                if d > nf:
-                    nf = d
-            if nf < cutoff:
+                stack.append((i, forced, _CLEAR))
+                i += 1
+            # Walk down from edge i, include first, to a leaf or a refused include.
+            while True:
+                self.nodes += 1
+                if len(included) == n - 1:
+                    if self.count >= self.max_trees:
+                        raise ResourceLimitError(
+                            f"spanning-tree cap of {self.max_trees} exceeded", self.count
+                        )
+                    self.count += 1
+                    yield forced
+                    cutoff = self.cutoff
+                    break
+                u, v = edges[i]
+                du = forest_dists(u)
+                if du[v] >= 0:  # would close a cycle: skipped, not flagged as excluded
+                    i += 1
+                    continue
+                # Including edge i merges the components of u and v; every graph edge
+                # crossing them gets its final tree distance right now.
+                dv = forest_dists(v)
+                nf = forced
+                for a, b in edges:
+                    if du[a] >= 0 and dv[b] >= 0:
+                        d = du[a] + 1 + dv[b]
+                    elif du[b] >= 0 and dv[a] >= 0:
+                        d = du[b] + 1 + dv[a]
+                    else:
+                        continue
+                    if d > nf:
+                        nf = d
+                stack.append((i, forced, _EXCLUDE))
+                if nf >= cutoff:
+                    break
                 included.append(i)
                 forest[u].append(v)
                 forest[v].append(u)
-                rec(i + 1, nf)
-                forest[v].pop()
-                forest[u].pop()
-                included.pop()
-            excluded[i] = True
-            if joined(u, v) if cutoff == math.inf else all_within(i, cutoff - 1):
-                rec(i + 1, forced)
-            excluded[i] = False
-
-        try:
-            rec(0, 0)
-        finally:
-            self.nodes = nodes
+                i, forced = i + 1, nf
 
 
 def enumerate_spanning_trees(
@@ -311,13 +322,9 @@ def enumerate_spanning_trees(
     if not is_connected(g):
         raise ValidationError("cannot enumerate spanning trees of a disconnected graph")
     search = _TreeSearch(g, DEFAULT_MAX_TREES)
-
-    def on_tree(forced: int) -> float:
+    for _ in search.trees():
         if visitor is not None:
             visitor(tuple(search.included))
-        return math.inf
-
-    search.run(on_tree)
     return search.count
 
 
@@ -356,20 +363,13 @@ def sigma_exact(
     search = _TreeSearch(g, max_trees)
     best_sigma = math.inf
     best_tree: tuple[int, ...] | None = None
-
-    def on_tree(forced: int) -> float:
-        nonlocal best_sigma, best_tree
+    for forced in search.trees():
         if forced < best_sigma:
-            best_sigma = forced
-            best_tree = tuple(search.included)
-            if use_pruning and best_sigma <= floor:
-                raise _Stop
-        return best_sigma if use_pruning else math.inf
-
-    try:
-        search.run(on_tree)
-    except _Stop:
-        pass
+            best_sigma, best_tree = forced, tuple(search.included)
+            if use_pruning:
+                if best_sigma <= floor:
+                    break
+                search.cutoff = best_sigma
     assert best_tree is not None, "connected graph must have a spanning tree"
     return ExactResult(
         sigma=int(best_sigma),

@@ -203,6 +203,24 @@ class TestSolve:
         assert out == ""
         assert "requires a connected graph" in err
 
+    # More than a thousand edges: a search that recursed once per edge would pass
+    # Python's recursion limit on both.
+    @pytest.mark.parametrize(
+        "family, sigma",
+        [
+            pytest.param(["wheel", "1001"], 2, id="W_1001"),
+            pytest.param(["cycle", "1200"], 1199, id="C_1200"),
+        ],
+    )
+    def test_deep_graph_piped_into_solve(self, capsys, monkeypatch, family, sigma):
+        code, generated, _ = run_cli(capsys, "generate", *family)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(generated))
+        code, out, err = run_cli(capsys, "solve", "-")
+        assert code == 0, err
+        assert json.loads(out)["sigma"] == sigma
+        assert "Traceback" not in err
+
 
 MALFORMED = {
     "n-overflow": ("solve", '{"n": 1e400, "edges": []}'),
@@ -301,11 +319,3 @@ class TestLevels:
     def test_no_levels_for_cycle(self, capsys):
         code, _, err = run_cli(capsys, "levels", "cycle", "5")
         assert code == 1
-
-
-class TestReproduce:
-    def test_full_table_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "reproduce")
-        assert code == 0
-        assert "0 disagreement(s)" in out
-        assert "Petersen" in out

@@ -89,3 +89,23 @@ def test_no_type_checking_block(module):
         )
     ]
     assert guarded == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_calls_itself(module):
+    """No recursion by name, so no input depth can reach Python's recursion limit."""
+    recursive = [
+        f"{module}.py:{inner.lineno} in {node.name}"
+        for node in ast.walk(_tree(module))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call)
+        and (
+            isinstance(inner.func, ast.Name) and inner.func.id == node.name
+            or isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == node.name
+            and isinstance(inner.func.value, ast.Name)
+            and inner.func.value.id in ("self", "cls")
+        )
+    ]
+    assert recursive == []

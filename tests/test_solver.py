@@ -232,9 +232,7 @@ class TestSigmaExact:
             return
         # The unpruned walk gives every tree's stretch in the search order. The pruned
         # search reports exactly the trees that beat every earlier one, up to the floor.
-        stretches = []
-        walk = _TreeSearch(g, total)
-        walk.run(lambda forced: stretches.append(forced) or math.inf)
+        stretches = list(_TreeSearch(g, total).trees())
         floor = lower_bound_girth(g)
         records, best = 0, math.inf
         for s in stretches:
@@ -249,8 +247,9 @@ class TestSigmaExact:
         assert slow.trees_enumerated == total
         assert fast.trees_enumerated == records
 
-    # Search nodes (calls of the recursive step) of the pruned solve on canonical
-    # family graphs: machine-independent, so any change to the bounds shows here.
+    # Search nodes (steps of the search loop that reach an edge or a finished tree)
+    # of the pruned solve on canonical family graphs: machine-independent, so any
+    # change to the bounds shows here.
     NODES = {
         "Petersen": (Petersen(), 4, 21),
         "K_{3,3,3}": (CompleteMultipartite((3, 3, 3)), 3, 1_750),
