@@ -4,13 +4,15 @@ Every subcommand is a thin shell over the library. JSON reports carry a
 ``"schema": 1`` field and are emitted with sorted keys, so identical
 arguments (and seed) produce byte-identical output except for the
 ``runtime_s`` field. Exit codes: 0 success, 1 validation or parameter
-error, 2 enumeration cap exceeded.
+error or standard output closed early, 2 enumeration cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import sys
 import time
@@ -316,7 +318,9 @@ def cmd_reproduce(args) -> int:
     return 0 if disagreements == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later ``main`` call."""
     parser = _Parser(prog="treestretch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,12 +373,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed standard output early (``| head``). Point it at devnull
+        # so that the interpreter's flush at shutdown does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -26,7 +26,6 @@ arithmetic as an independent cross-check on the enumerator.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -162,6 +161,15 @@ class _TreeSearch:
     holds no tree the search would have reported, and the reported trees, their
     order and their count stay the same.
 
+    Each path that check finds for an excluded edge k is kept as k's witness, a
+    list of edge indices, and a later check of k at any edge i tries it before a
+    new BFS. The witness passes if it still has at most c - 1 edges and each of its
+    edges is in the forest (an ``in_forest`` flag per edge, set on include and
+    cleared when the include is undone) or has index above i. Such a path lies in
+    G', so it proves the same "at most c - 1 edges in G'" that the BFS decides,
+    and a witness that fails only falls back to the BFS: every decision, and with
+    it every branch and node, stays the same. A stale witness needs no undo.
+
     The newest excluded edge is edge i itself. If its check passes, u reaches v
     in G' without edge i, and G' holds only non-excluded edges, so ``joined(u, v)``
     is already proved and its DFS is skipped. With no finite cutoff (enumeration,
@@ -186,25 +194,27 @@ class _TreeSearch:
         ``self.cutoff``, which the caller may lower between trees.
         """
         n, edges, included, cutoff = self.n, self.edges, self.included, self.cutoff
-        forest: list[list[int]] = [[] for _ in range(n)]
+        forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for j, (a, b) in enumerate(edges):
             incident[a].append((j, b))
             incident[b].append((j, a))
         excluded = [False] * len(edges)
+        in_forest = [False] * len(edges)
+        witness: list[list[int]] = [[] for _ in edges]
 
-        def forest_dists(start: int) -> list[int]:
+        def forest_dists(start: int) -> tuple[list[int], list[int]]:
+            """Tree distances from ``start`` in its forest component, and the BFS order."""
             dist = [-1] * n
             dist[start] = 0
-            queue = deque([start])
-            while queue:
-                a = queue.popleft()
-                da = dist[a]
-                for b in forest[a]:
+            order = [start]
+            for a in order:
+                da = dist[a] + 1
+                for _, b in forest[a]:
                     if dist[b] < 0:
-                        dist[b] = da + 1
-                        queue.append(b)
-            return dist
+                        dist[b] = da
+                        order.append(b)
+            return dist, order
 
         def joined(u: int, v: int) -> bool:
             """Do the non-excluded edges still join u to v?"""
@@ -220,26 +230,42 @@ class _TreeSearch:
                         stack.append(b)
             return False
 
-        def within(a: int, b: int, i: int, limit: int) -> bool:
-            """Is b at most ``limit`` edges from a in the forest plus ``edges[i+1:]``?"""
-            seen = [False] * n
-            seen[a] = True
+        def within(k: int, i: int, limit: int) -> bool:
+            """Are edge k's ends at most ``limit`` edges apart in the forest plus ``edges[i+1:]``?
+
+            A path found is kept as ``witness[k]`` and tried first next time.
+            """
+            path = witness[k]
+            if 0 < len(path) <= limit:
+                for j in path:
+                    if j <= i and not in_forest[j]:
+                        break
+                else:
+                    return True
+            a, b = edges[k]
+            via = [-1] * n  # the edge that first reached each vertex
+            via[a] = k
             frontier = [a]
             for _ in range(limit):
                 reached = []
                 for x in frontier:
-                    for y in forest[x]:
-                        if not seen[y]:
-                            if y == b:
-                                return True
-                            seen[y] = True
+                    for j, y in forest[x]:
+                        if via[y] < 0:
+                            via[y] = j
                             reached.append(y)
                     for j, y in incident[x]:
-                        if j > i and not seen[y]:
-                            if y == b:
-                                return True
-                            seen[y] = True
+                        if j > i and via[y] < 0:
+                            via[y] = j
                             reached.append(y)
+                if via[b] >= 0:
+                    path = []
+                    while b != a:
+                        j = via[b]
+                        path.append(j)
+                        c, d = edges[j]
+                        b = c if d == b else d
+                    witness[k] = path
+                    return True
                 frontier = reached
             return False
 
@@ -248,7 +274,7 @@ class _TreeSearch:
 
             Not inline: a generator in ``trees`` would make its ``i`` a closure cell.
             """
-            return all(within(*edges[k], i, limit) for k in range(i, -1, -1) if excluded[k])
+            return all(within(k, i, limit) for k in range(i, -1, -1) if excluded[k])
 
         # A frame (i, forced, step) is the root, edge i's exclude branch (popped when its
         # include branch is done) or the clearing of edge i's flag (when that one is).
@@ -260,10 +286,11 @@ class _TreeSearch:
                 continue
             if step == _EXCLUDE:
                 u, v = edges[i]
-                if included and included[-1] == i:
+                if in_forest[i]:
                     included.pop()
                     forest[u].pop()
                     forest[v].pop()
+                    in_forest[i] = False
                 excluded[i] = True
                 if not (joined(u, v) if cutoff == math.inf else all_within(i, cutoff - 1)):
                     excluded[i] = False
@@ -283,29 +310,31 @@ class _TreeSearch:
                     cutoff = self.cutoff
                     break
                 u, v = edges[i]
-                du = forest_dists(u)
+                du, order_u = forest_dists(u)
                 if du[v] >= 0:  # would close a cycle: skipped, not flagged as excluded
                     i += 1
                     continue
                 # Including edge i merges the components of u and v; every graph edge
-                # crossing them gets its final tree distance right now.
-                dv = forest_dists(v)
+                # crossing them gets its final tree distance right now. Each such edge
+                # has one end in each component, so the smaller one's incidences hold all.
+                dv, order_v = forest_dists(v)
+                if len(order_u) <= len(order_v):
+                    side, d_side, d_other = order_u, du, dv
+                else:
+                    side, d_side, d_other = order_v, dv, du
                 nf = forced
-                for a, b in edges:
-                    if du[a] >= 0 and dv[b] >= 0:
-                        d = du[a] + 1 + dv[b]
-                    elif du[b] >= 0 and dv[a] >= 0:
-                        d = du[b] + 1 + dv[a]
-                    else:
-                        continue
-                    if d > nf:
-                        nf = d
+                for a in side:
+                    da = d_side[a] + 1
+                    for _, b in incident[a]:
+                        if d_other[b] >= 0 and da + d_other[b] > nf:
+                            nf = da + d_other[b]
                 stack.append((i, forced, _EXCLUDE))
                 if nf >= cutoff:
                     break
                 included.append(i)
-                forest[u].append(v)
-                forest[v].append(u)
+                in_forest[i] = True
+                forest[u].append((i, v))
+                forest[v].append((i, u))
                 i, forced = i + 1, nf
 
 

@@ -5,11 +5,17 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treestretch
 from treestretch import families, planar
-from treestretch.cli import main
+from treestretch.cli import build_parser, main
+from treestretch.solver import DEFAULT_MAX_TREES
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +209,23 @@ class TestSolve:
         assert out == ""
         assert "requires a connected graph" in err
 
+    # main reuses one parser per process; no call may leave state for the next.
+    def test_reused_parser_drops_no_prune(self, capsys, tmp_path):
+        path = self.make_graph_file(tmp_path, capsys, "petersen")
+        assert run_json(capsys, "solve", path, "--no-prune")["pruned"] is False
+        reused = run_json(capsys, "solve", path)
+        build_parser.cache_clear()
+        fresh = run_json(capsys, "solve", path)
+        assert reused["pruned"] is True
+        assert strip_runtime(reused) == strip_runtime(fresh)
+
+    def test_reused_parser_drops_refused_cap(self, capsys, tmp_path):
+        path = self.make_graph_file(tmp_path, capsys, "petersen")
+        code, out, _ = run_cli(capsys, "solve", path, "--no-prune", "--max-trees", "0")
+        assert (code, out) == (1, "")
+        assert run_json(capsys, "solve", path, "--no-prune")["trees_enumerated"] == 2000
+        assert build_parser().parse_args(["solve", path]).max_trees == DEFAULT_MAX_TREES
+
     # More than a thousand edges: a search that recursed once per edge would pass
     # Python's recursion limit on both.
     @pytest.mark.parametrize(
@@ -220,6 +243,38 @@ class TestSolve:
         assert code == 0, err
         assert json.loads(out)["sigma"] == sigma
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, keep",
+    [
+        pytest.param(["construct", "rect-grid", "60", "60"], 300, id="128KB-report"),
+        pytest.param(["levels", "rect-grid", "2", "2"], 0, id="buffered-report"),
+    ],
+)
+def test_closed_stdout_exits_quietly(argv, keep):
+    """The reader takes ``keep`` bytes and closes the pipe, as ``| head -c`` does.
+
+    The 128 KB report outgrows the pipe buffer and fails while printing. The short one,
+    with stdout block-buffered, would fail only at the interpreter's shutdown flush.
+    """
+    src = str(Path(treestretch.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treestretch.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == keep
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 MALFORMED = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from treestretch.graphs import (
     ValidationError,
     is_connected,
     make_graph,
+    relabel_graph,
     stretch,
 )
 from treestretch.solver import (
@@ -266,6 +268,25 @@ class TestSigmaExact:
     def test_search_nodes(self, name):
         spec, sigma, nodes = self.NODES[name]
         res = sigma_exact(make(spec).graph)
+        assert (res.sigma, res.nodes) == (sigma, nodes)
+
+    # The same search on shuffled vertex labels, which reorder the edge list: (spec,
+    # seed of the random.Random that shuffles the labels, sigma, nodes).
+    NODES_RELABELLED = {
+        "K_{3,3,3}~0": (CompleteMultipartite((3, 3, 3)), 0, 3, 303),
+        "K_{3,3,3}~1": (CompleteMultipartite((3, 3, 3)), 1, 3, 597),
+        "K_{3,3,3}~2": (CompleteMultipartite((3, 3, 3)), 2, 3, 1_141),
+        "rect(4,4)~0": (RectGrid(4, 4), 0, 5, 3_155),
+        "rect(4,4)~1": (RectGrid(4, 4), 1, 5, 2_228),
+    }
+
+    @pytest.mark.parametrize("name", list(NODES_RELABELLED))
+    def test_search_nodes_relabelled(self, name):
+        spec, seed, sigma, nodes = self.NODES_RELABELLED[name]
+        g = make(spec).graph
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        res = sigma_exact(relabel_graph(g, perm))
         assert (res.sigma, res.nodes) == (sigma, nodes)
 
     def test_optimal_tree_attains_sigma(self):
