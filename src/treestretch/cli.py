@@ -10,7 +10,6 @@ error or standard output closed early, 2 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -318,9 +317,7 @@ def cmd_reproduce(args) -> int:
     return 0 if disagreements == 0 else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later ``main`` call."""
     parser = _Parser(prog="treestretch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,8 +14,7 @@ import pytest
 
 import treestretch
 from treestretch import families, planar
-from treestretch.cli import build_parser, main
-from treestretch.solver import DEFAULT_MAX_TREES
+from treestretch.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -208,23 +207,6 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "requires a connected graph" in err
-
-    # main reuses one parser per process; no call may leave state for the next.
-    def test_reused_parser_drops_no_prune(self, capsys, tmp_path):
-        path = self.make_graph_file(tmp_path, capsys, "petersen")
-        assert run_json(capsys, "solve", path, "--no-prune")["pruned"] is False
-        reused = run_json(capsys, "solve", path)
-        build_parser.cache_clear()
-        fresh = run_json(capsys, "solve", path)
-        assert reused["pruned"] is True
-        assert strip_runtime(reused) == strip_runtime(fresh)
-
-    def test_reused_parser_drops_refused_cap(self, capsys, tmp_path):
-        path = self.make_graph_file(tmp_path, capsys, "petersen")
-        code, out, _ = run_cli(capsys, "solve", path, "--no-prune", "--max-trees", "0")
-        assert (code, out) == (1, "")
-        assert run_json(capsys, "solve", path, "--no-prune")["trees_enumerated"] == 2000
-        assert build_parser().parse_args(["solve", path]).max_trees == DEFAULT_MAX_TREES
 
     # More than a thousand edges: a search that recursed once per edge would pass
     # Python's recursion limit on both.
