@@ -270,11 +270,11 @@ class _TreeSearch:
             return False
 
         def all_within(i: int, limit: int) -> bool:
-            """Does every excluded edge k <= i, newest first, pass ``within``?
-
-            Not inline: a generator in ``trees`` would make its ``i`` a closure cell.
-            """
-            return all(within(k, i, limit) for k in range(i, -1, -1) if excluded[k])
+            """Does every excluded edge k <= i, newest first, pass ``within``?"""
+            for k in range(i, -1, -1):
+                if excluded[k] and not within(k, i, limit):
+                    return False
+            return True
 
         # A frame (i, forced, step) is the root, edge i's exclude branch (popped when its
         # include branch is done) or the clearing of edge i's flag (when that one is).
