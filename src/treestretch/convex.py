@@ -222,9 +222,10 @@ def level_sets(instance: ConvexInstance, root: int) -> LevelStructure:
     inclusion-maximal among Y_i's candidates; among candidates with identical
     unions only the lowest index is admitted. A twin of a selected set thus
     never becomes a candidate and is left for attachment as unselected.
-    The structural guarantees the construction relies on (selected sets pairwise
-    non-nested, sibling extensions disjoint, sets two levels apart disjoint) are
-    asserted and raise ValidationError when violated.
+    ValidationError is raised when the levels stall before covering Y or an
+    unselected set has no covering pair. ``_try_build`` relies on two facts only,
+    both true by construction: each selected set meets its predecessor, and the
+    unselected sets are attached after the selected ones have covered Y.
     """
     sigma = instance.sigma
     m = instance.m
@@ -263,34 +264,6 @@ def level_sets(instance: ConvexInstance, root: int) -> LevelStructure:
             remaining.discard(j)
             covered |= sigma[j]
         levels.append(tuple(sorted(next_level)))
-
-    selected = [i for level in levels for i in level]
-    for a_pos in range(len(selected)):
-        for b_pos in range(a_pos + 1, len(selected)):
-            a, b = selected[a_pos], selected[b_pos]
-            if sigma[a] <= sigma[b] or sigma[b] <= sigma[a]:
-                raise ValidationError(
-                    f"selected sets Y_{a + 1} and Y_{b + 1} are nested"
-                )
-    for level in levels[1:]:
-        by_pred: dict[int, list[int]] = {}
-        for j in level:
-            by_pred.setdefault(predecessor[j], []).append(j)
-        for i, siblings in by_pred.items():
-            for a_pos in range(len(siblings)):
-                for b_pos in range(a_pos + 1, len(siblings)):
-                    a, b = siblings[a_pos], siblings[b_pos]
-                    if (sigma[a] - sigma[i]) & (sigma[b] - sigma[i]):
-                        raise ValidationError(
-                            f"sibling extensions of Y_{a + 1} and Y_{b + 1} overlap"
-                        )
-    for k in range(len(levels) - 2):
-        for i in levels[k]:
-            for j in levels[k + 2]:
-                if sigma[i] & sigma[j]:
-                    raise ValidationError(
-                        f"sets two levels apart intersect: Y_{i + 1} and Y_{j + 1}"
-                    )
 
     successors: dict[int, list[int]] = {}
     for j, i in predecessor.items():

@@ -6,10 +6,9 @@ generator with the closed-form minimum stretch and an explicit tree attaining
 it. A plane grid gives its cells in place of a generator: its lattice points
 in vertex order and its faces as vertex cycles. ``make`` builds the grid's
 plane graph once from those faces and returns it as ``FamilyGraph.plane``,
-with the graph read from it; the record adds the closed-form maximum face
-level and the stretch bound that level certifies, which
-``stretch_lower_bound`` applies to that plane. ``make``, ``sigma_formula``,
-``optimal_construction``, ``embed_grid``, ``lambda_max_formula``,
+with the graph read from it; the record adds the stretch bound that a face
+level certifies, which ``stretch_lower_bound`` applies to that plane.
+``make``, ``sigma_formula``, ``optimal_construction``, ``embed_grid``,
 ``stretch_lower_bound`` and the command line all look the family up in
 ``FAMILIES`` by its spec, so adding a family means one spec dataclass and one
 record in this module. The seeded random helpers feed the tests and the
@@ -241,10 +240,9 @@ class Family:
     fields for reports. A plane grid gives ``cells`` (its lattice points and
     labelled faces; ``make`` builds its plane graph from these faces once,
     and its graph is that plane's) in place of ``graph``, and ``row_axis``
-    (the coordinate of a point, or of a face label, that names its row),
-    ``lambda_max`` (closed-form deepest face level) and ``level_bound`` (the
-    stretch bound a face of that level certifies, which
-    ``stretch_lower_bound`` applies to the plane ``make`` built).
+    (the coordinate of a point, or of a face label, that names its row) and
+    ``level_bound`` (the stretch bound the deepest face level certifies,
+    which ``stretch_lower_bound`` applies to the plane ``make`` built).
     """
 
     name: str
@@ -256,7 +254,6 @@ class Family:
     describe: Callable[[FamilySpec], dict] = asdict
     cells: Callable[[FamilySpec], GridCells] | None = None
     row_axis: int = 0
-    lambda_max: Callable[[FamilySpec], int] | None = None
     level_bound: Callable[[int], int] | None = None
 
 
@@ -921,15 +918,13 @@ FAMILIES: tuple[Family, ...] = (
            describe=lambda s: instance_to_json(s.instance)),
     Family("rect-grid", RectGrid, {"rect-grid": _ints(2, RectGrid)}, cells=_rect_cells, row_axis=0,
            sigma=lambda s, g: 2 * (s.m // 2) + 1, tree=rect_grid_tree,
-           lambda_max=lambda s: s.m // 2, level_bound=lambda lam: 2 * lam + 1),
+           level_bound=lambda lam: 2 * lam + 1),
     Family("tri-grid", TriGrid, {"tri-grid": _ints(1, TriGrid)}, cells=_tri_cells, row_axis=1,
            sigma=lambda s, g: (2 * s.n + 2) // 3 + 1, tree=tri_grid_tree,
-           lambda_max=lambda s: (2 * s.n + 2) // 3,  # ceil(2n/3)
            level_bound=lambda lam: lam + 1),
     Family("tri-rect-grid", TriRectGrid, {"tri-rect-grid": _ints(2, TriRectGrid)},
            cells=_tri_rect_cells, row_axis=1,
-           sigma=lambda s, g: s.m, tree=tri_rect_grid_tree,
-           lambda_max=lambda s: s.m - 1, level_bound=lambda lam: lam + 1),
+           sigma=lambda s, g: s.m, tree=tri_rect_grid_tree, level_bound=lambda lam: lam + 1),
 )
 
 
@@ -994,14 +989,6 @@ def embed_grid(spec: FamilySpec) -> PlaneGraph:
     if fam is None or fam.cells is None:
         raise ParameterError(f"no analytic embedding for {spec!r}")
     return make(spec).plane
-
-
-def lambda_max_formula(spec: FamilySpec) -> int:
-    """Closed-form maximum face level of the grid families."""
-    fam = family_of(spec)
-    if fam is None or fam.lambda_max is None:
-        raise ParameterError(f"no face-level formula for {spec!r}")
-    return fam.lambda_max(spec)
 
 
 def stretch_lower_bound(built: FamilyGraph) -> int:

@@ -5,7 +5,7 @@ canonical index order deciding include vs exclude, keeping one partial forest as
 adjacency lists. The include branch is explored first, so trees are produced in a
 fixed lexicographic order and the first optimum found is deterministic. An edge
 whose ends the forest already joins is skipped; an edge is excluded only while
-the edges not yet excluded still join its ends, so every branch ends in a tree.
+the forest and the later edges still join its ends, so every branch ends in a tree.
 
 Along each branch the search tracks the largest tree distance already forced
 between endpoints of a graph edge: once two vertices share a component of the
@@ -116,65 +116,52 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
     return sign * a[size - 1][size - 1]
 
 
-_VISIT, _EXCLUDE, _CLEAR = range(3)
-
-
 class _TreeSearch:
     """Include-first walk over the spanning trees, shared by enumeration and the exact solve.
 
-    The search keeps one forest, as adjacency lists, and one ``excluded`` flag per
-    edge, and walks them in one loop over an explicit stack of frames. A node is
-    one step of that walk: an edge reached, skipped ones too, or a finished tree.
-    At edge i = (u, v) a BFS from u in the forest gives u's tree distances. If it
-    reaches v, edge i would close a cycle and is skipped. Otherwise the include
-    branch adds it to the forest, and the exclude branch flags it, but only while a
-    DFS from u over the non-excluded edges other than i still reaches v.
+    The search keeps one forest, as adjacency lists, and the ``pending`` list of
+    the edges excluded along the current branch, and walks them in one loop over an
+    explicit stack of frames. A node is one step of that walk: an edge reached,
+    skipped ones too, or a finished tree. At edge i = (u, v) a BFS from u in the
+    forest gives u's tree distances. If it reaches v, edge i would close a cycle and
+    is skipped. Otherwise the include branch adds it to the forest, and the exclude
+    branch, a frame (i, forced) popped when the include branch is done, adds it to
+    ``pending`` if the rule below lets it stay out. Let G' be the forest plus
+    ``edges[i+1:]``; skipped and excluded edges are not in G'.
 
-    This exclude rule equals the usual one, "the forest plus ``edges[i+1:]`` still
-    spans", so the search takes the same branches in the same order. Proof: let N
-    be the non-excluded edges, that is the forest, the undecided suffix
-    ``edges[i:]`` and the skipped cycle-closing edges. N spans and is connected at
-    every node: it is the whole connected graph at the root, an include or a skip
-    leaves it as it is, and an exclude is taken only when N minus edge i stays
-    connected. A skipped edge joins two vertices that the forest already joined
-    when it was skipped, and the forest only grows down a branch, so N minus edge
-    i joins the same vertex pairs as the forest plus ``edges[i+1:]``. As N is
-    connected, N minus edge i is connected exactly when edge i is not a bridge of
-    N, that is when u still reaches v without it. The invariant also means that no
-    branch runs past the last edge: there N is the forest plus edges inside its
-    components, so the forest already spans and the branch ended in a tree.
+    With no finite cutoff, edge i may stay out iff u and v are joined in G', which
+    ``within(i, i, n - 1)`` decides. Proof: the forest plus ``edges[i:]`` spans at
+    every node. It is the whole connected graph at the root, an include or a skip
+    leaves the vertex pairs it joins as they are, and an exclude is taken only when
+    G', which is that graph minus edge i, still joins u and v, so still spans. The
+    rule is therefore the usual one, "the forest plus ``edges[i+1:]`` still spans",
+    and no branch runs past the last edge: there the forest alone spans, so the
+    branch already ended in a tree.
 
     Once the caller has set a finite ``cutoff`` c, the exclude branch is cut by
-    stretch as well. Let G' be the forest plus ``edges[i+1:]``; skipped and
-    excluded edges are not in G'. The exclude branch is taken only if every
-    excluded edge k <= i, newest first, still has a path of at most c - 1 edges in
-    G'. Proof that this keeps every tree the search would report: each tree T
-    finished below this node consists of forest edges and edges of ``edges[i+1:]``,
-    so T is a subgraph of G' and d_T(a, b) >= d_G'(a, b) for every edge ab. An
-    excluded edge with no path of at most c - 1 edges in G' therefore has
-    d_T(a, b) >= c in every such T, so no T has stretch below c. The search reports
-    a tree only when its stretch is below the cutoff: the forest reaches n - 1
-    edges only through an include, so a leaf is always the next node after one,
-    with its forced distance below the cutoff; and at a leaf the forced distance
-    is the stretch, because every graph edge got its tree distance at the include
-    that joined its ends. The caller only lowers the cutoff, so the cut subtree
-    holds no tree the search would have reported, and the reported trees, their
-    order and their count stay the same.
+    stretch as well: it is taken only if every pending edge k, newest (edge i)
+    first, still has a path of at most c - 1 edges in G'. Edge i's path joins u and
+    v in G', so the rule above holds too. Proof that this keeps every tree the
+    search would report: each tree T finished below this node consists of forest
+    edges and edges of ``edges[i+1:]``, so T is a subgraph of G' and
+    d_T(a, b) >= d_G'(a, b) for every edge ab. An excluded edge with no path of at
+    most c - 1 edges in G' therefore has d_T(a, b) >= c in every such T, so no T has
+    stretch below c. The search reports a tree only when its stretch is below the
+    cutoff: the forest reaches n - 1 edges only through an include, so a leaf is
+    always the next node after one, with its forced distance below the cutoff; and
+    at a leaf the forced distance is the stretch, because every graph edge got its
+    tree distance at the include that joined its ends. The caller only lowers the
+    cutoff, so the cut subtree holds no tree the search would have reported, and
+    the reported trees, their order and their count stay the same.
 
-    Each path that check finds for an excluded edge k is kept as k's witness, a
+    Each path that ``within`` finds for an excluded edge k is kept as k's witness, a
     list of edge indices, and a later check of k at any edge i tries it before a
-    new BFS. The witness passes if it still has at most c - 1 edges and each of its
-    edges is in the forest (an ``in_forest`` flag per edge, set on include and
+    new BFS. The witness passes if it still has at most ``limit`` edges and each of
+    its edges is in the forest (an ``in_forest`` flag per edge, set on include and
     cleared when the include is undone) or has index above i. Such a path lies in
-    G', so it proves the same "at most c - 1 edges in G'" that the BFS decides,
-    and a witness that fails only falls back to the BFS: every decision, and with
-    it every branch and node, stays the same. A stale witness needs no undo.
-
-    The newest excluded edge is edge i itself. If its check passes, u reaches v
-    in G' without edge i, and G' holds only non-excluded edges, so ``joined(u, v)``
-    is already proved and its DFS is skipped. With no finite cutoff (enumeration,
-    ``use_pruning=False``, and the search before its first tree), the exclude
-    test is ``joined`` alone.
+    G', so it proves what the BFS decides, and a witness that fails only falls back
+    to the BFS: every decision, and with it every branch and node, stays the same.
+    A stale witness needs no undo.
     """
 
     def __init__(self, g: Graph, max_trees: int):
@@ -199,9 +186,9 @@ class _TreeSearch:
         for j, (a, b) in enumerate(edges):
             incident[a].append((j, b))
             incident[b].append((j, a))
-        excluded = [False] * len(edges)
         in_forest = [False] * len(edges)
         witness: list[list[int]] = [[] for _ in edges]
+        pending: list[int] = []
 
         def forest_dists(start: int) -> tuple[list[int], list[int]]:
             """Tree distances from ``start`` in its forest component, and the BFS order."""
@@ -215,20 +202,6 @@ class _TreeSearch:
                         dist[b] = da
                         order.append(b)
             return dist, order
-
-        def joined(u: int, v: int) -> bool:
-            """Do the non-excluded edges still join u to v?"""
-            seen = [False] * n
-            seen[u] = True
-            stack = [u]
-            while stack:
-                for j, b in incident[stack.pop()]:
-                    if not seen[b] and not excluded[j]:
-                        if b == v:
-                            return True
-                        seen[b] = True
-                        stack.append(b)
-            return False
 
         def within(k: int, i: int, limit: int) -> bool:
             """Are edge k's ends at most ``limit`` edges apart in the forest plus ``edges[i+1:]``?
@@ -266,37 +239,21 @@ class _TreeSearch:
                         b = c if d == b else d
                     witness[k] = path
                     return True
+                if not reached:
+                    return False
                 frontier = reached
             return False
 
-        def all_within(i: int, limit: int) -> bool:
-            """Does every excluded edge k <= i, newest first, pass ``within``?"""
-            for k in range(i, -1, -1):
-                if excluded[k] and not within(k, i, limit):
+        def may_exclude(i: int, limit: int) -> bool:
+            """Does every pending edge, newest first, pass ``within`` at edge i?"""
+            for k in reversed(pending):
+                if not within(k, i, limit):
                     return False
             return True
 
-        # A frame (i, forced, step) is the root, edge i's exclude branch (popped when its
-        # include branch is done) or the clearing of edge i's flag (when that one is).
-        stack = [(0, 0, _VISIT)]
-        while stack:
-            i, forced, step = stack.pop()
-            if step == _CLEAR:
-                excluded[i] = False
-                continue
-            if step == _EXCLUDE:
-                u, v = edges[i]
-                if in_forest[i]:
-                    included.pop()
-                    forest[u].pop()
-                    forest[v].pop()
-                    in_forest[i] = False
-                excluded[i] = True
-                if not (joined(u, v) if cutoff == math.inf else all_within(i, cutoff - 1)):
-                    excluded[i] = False
-                    continue
-                stack.append((i, forced, _CLEAR))
-                i += 1
+        stack: list[tuple[int, int]] = []
+        i = forced = 0
+        while True:
             # Walk down from edge i, include first, to a leaf or a refused include.
             while True:
                 self.nodes += 1
@@ -311,7 +268,7 @@ class _TreeSearch:
                     break
                 u, v = edges[i]
                 du, order_u = forest_dists(u)
-                if du[v] >= 0:  # would close a cycle: skipped, not flagged as excluded
+                if du[v] >= 0:  # would close a cycle: skipped, not excluded
                     i += 1
                     continue
                 # Including edge i merges the components of u and v; every graph edge
@@ -328,7 +285,7 @@ class _TreeSearch:
                     for _, b in incident[a]:
                         if d_other[b] >= 0 and da + d_other[b] > nf:
                             nf = da + d_other[b]
-                stack.append((i, forced, _EXCLUDE))
+                stack.append((i, forced))
                 if nf >= cutoff:
                     break
                 included.append(i)
@@ -336,6 +293,24 @@ class _TreeSearch:
                 forest[u].append((i, v))
                 forest[v].append((i, u))
                 i, forced = i + 1, nf
+            # Back up to the newest exclude branch that may be taken.
+            while True:
+                if not stack:
+                    return
+                i, forced = stack.pop()
+                if in_forest[i]:
+                    u, v = edges[i]
+                    included.pop()
+                    forest[u].pop()
+                    forest[v].pop()
+                    in_forest[i] = False
+                while pending and pending[-1] > i:  # excluded under edge i's include
+                    pending.pop()
+                pending.append(i)
+                if within(i, i, n - 1) if cutoff == math.inf else may_exclude(i, cutoff - 1):
+                    break
+                pending.pop()
+            i += 1
 
 
 def enumerate_spanning_trees(

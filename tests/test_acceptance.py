@@ -25,7 +25,6 @@ from treestretch.families import (
     Wheel,
     classify_split,
     embed_grid,
-    lambda_max_formula,
     make,
     optimal_construction,
     petersen_tree,
@@ -184,7 +183,6 @@ def test_criterion_06_rect_grid_formula_and_levels():
         for n in range(m, 11):
             spec = RectGrid(m, n)
             assert face_levels(embed_grid(spec)).lambda_max == m // 2
-            assert lambda_max_formula(spec) == m // 2
 
 
 def test_criterion_07_tri_grid_formula_and_levels():
@@ -198,7 +196,6 @@ def test_criterion_07_tri_grid_formula_and_levels():
     for n in range(1, 13):
         spec = TriGrid(n)
         assert face_levels(embed_grid(spec)).lambda_max == (2 * n + 2) // 3
-        assert lambda_max_formula(spec) == (2 * n + 2) // 3
 
 
 def test_criterion_08_tri_rect_grid_formula_and_levels():
@@ -214,7 +211,6 @@ def test_criterion_08_tri_rect_grid_formula_and_levels():
         for n in range(m, 11):
             spec = TriRectGrid(m, n)
             assert face_levels(embed_grid(spec)).lambda_max == m - 1
-            assert lambda_max_formula(spec) == m - 1
 
 
 def test_criterion_09_cycle_cut_duality_exhaustive():

@@ -12,7 +12,6 @@ from treestretch.families import (
     TriGrid,
     TriRectGrid,
     embed_grid,
-    lambda_max_formula,
     make,
     stretch_lower_bound,
 )
@@ -27,7 +26,6 @@ from treestretch.planar import (
 )
 from treestretch.graphs import (
     DomainError,
-    ParameterError,
     ValidationError,
     fundamental_cycle_edges,
     make_graph,
@@ -161,25 +159,18 @@ class TestLambdaFormulas:
             for n in range(m, 8):
                 spec = RectGrid(m, n)
                 assert face_levels(embed_grid(spec)).lambda_max == m // 2
-                assert lambda_max_formula(spec) == m // 2
 
     def test_tri(self):
         for n in range(1, 9):
             spec = TriGrid(n)
             expected = (2 * n + 2) // 3
             assert face_levels(embed_grid(spec)).lambda_max == expected
-            assert lambda_max_formula(spec) == expected
 
     def test_tri_rect(self):
         for m in range(2, 7):
             for n in range(m, 7):
                 spec = TriRectGrid(m, n)
                 assert face_levels(embed_grid(spec)).lambda_max == m - 1
-                assert lambda_max_formula(spec) == m - 1
-
-    def test_no_formula_for_non_grid(self):
-        with pytest.raises(ParameterError):
-            lambda_max_formula(Petersen())
 
 
 class TestStretchLowerBound:

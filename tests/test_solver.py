@@ -5,17 +5,20 @@ from __future__ import annotations
 import math
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestretch.families import (
+    Complete,
     CompleteMultipartite,
     Petersen,
     RectGrid,
     TriGrid,
     TriRectGrid,
+    Wheel,
     make,
 )
 from treestretch.graphs import (
@@ -24,8 +27,10 @@ from treestretch.graphs import (
     ResourceLimitError,
     ValidationError,
     is_connected,
+    is_spanning_tree,
     make_graph,
     relabel_graph,
+    spanning_tree,
     stretch,
 )
 from treestretch.solver import (
@@ -96,20 +101,32 @@ class TestCounting:
         g, expected = FROZEN_TREE_COUNTS[name]
         assert enumerate_spanning_trees(g) == expected
 
-    def test_every_enumerated_set_is_a_tree(self):
-        g = complete_graph(5)
-        from treestretch.graphs import is_spanning_tree
-
-        seen = set()
-
-        def check(edge_set):
-            ok, _ = is_spanning_tree(g, edge_set)
-            assert ok
-            seen.add(frozenset(edge_set))
-
-        count = enumerate_spanning_trees(g, visitor=check)
-        assert count == 125
-        assert len(seen) == 125
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            (Complete(5), 125),
+            (Petersen(), 2000),
+            (RectGrid(3, 3), 192),
+            (Wheel(6), 121),
+            (CompleteMultipartite((2, 2, 2)), 384),
+        ],
+        ids=["K5", "petersen", "rect33", "W6", "K222"],
+    )
+    def test_enumeration_order_matches_combinations(self, spec, count):
+        # The oracle: every (n-1)-subset of edge indices in lexicographic order,
+        # kept when it is a spanning tree.
+        g = make(spec).graph
+        expected = [
+            c for c in combinations(range(g.m), g.n - 1) if is_spanning_tree(g, c)[0]
+        ]
+        visited = []
+        assert enumerate_spanning_trees(g, visitor=visited.append) == count
+        assert visited == expected
+        result = sigma_exact(g, use_pruning=False)
+        first_optimum = next(
+            c for c in expected if stretch(g, spanning_tree(g, c)).stretch == result.sigma
+        )
+        assert sorted(result.optimal_tree.tree_edges) == list(first_optimum)
 
     def test_disconnected_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)])
