@@ -16,8 +16,13 @@ tree, of stretch c, the exclude branch is cut too: every excluded edge must stil
 have a path of at most c - 1 edges through the forest and the undecided edges, or
 no tree below can beat c. Enumeration uses no cutoff and neither bound. sigma_exact
 stops at the girth floor (shortest cycle length minus one) as soon as a tree
-attains it. The search is one loop over an explicit stack, with no recursion limit
-on its depth; ``ExactResult.nodes`` counts its steps that reach an edge or a tree.
+attains it. When that floor is 2 and refutes_tree_2_spanner proves that no tree
+has stretch 2, the pruned search stops at 3 instead: two necessary conditions for
+a tree 2-spanner, one on the leaves and one on the edges in no triangle, decide
+what the search would otherwise spend almost all its nodes proving, as on the
+complete multipartite graphs with every part of at least two vertices. The
+search is one loop over an explicit stack, with no recursion limit on its depth;
+``ExactResult.nodes`` counts its steps that reach an edge or a tree.
 
 A hand-rolled Bareiss elimination provides the matrix-tree count in exact integer
 arithmetic as an independent cross-check on the enumerator.
@@ -36,6 +41,7 @@ from .graphs import (
     ResourceLimitError,
     SpanningTree,
     ValidationError,
+    blocks,
     girth,
     is_connected,
     spanning_tree,
@@ -50,6 +56,9 @@ class ExactResult:
 
     ``nodes`` counts the search's steps: edges reached, skipped ones too, and
     finished trees. It is 0 when the input is already a tree and no search runs.
+    ``no_tree_2_spanner`` is True when the pruned search stopped at 3 because
+    refutes_tree_2_spanner proved that no spanning tree has stretch 2;
+    ``lower_bound_used`` stays the girth floor either way.
     """
 
     sigma: int
@@ -58,6 +67,7 @@ class ExactResult:
     lower_bound_used: int
     pruned: bool
     nodes: int = 0
+    no_tree_2_spanner: bool = False
 
 
 def check_tree_cap(max_trees: int) -> int:
@@ -114,6 +124,69 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[size - 1][size - 1]
+
+
+def refutes_tree_2_spanner(g: Graph) -> bool:
+    """True when one of two necessary conditions proves that G has no tree 2-spanner.
+
+    A tree 2-spanner is a spanning tree T with d_T(a, b) <= 2 for every edge ab of
+    G, so a True answer proves sigma(G) >= 3. A False answer proves nothing: the two
+    rules are necessary conditions only, and some graphs of stretch 3 pass both.
+
+    Leaf rule. Let l be a leaf of T and p its neighbour in T. Every other
+    G-neighbour x of l is joined to l outside T, so l and x need a common
+    T-neighbour, and p is l's only one: px is in T, hence in G. So
+    N_G[l] is a subset of N_G[p]: l is dominated by a neighbour. A tree on n >= 2
+    vertices has at least two leaves, so if fewer than two vertices are dominated
+    by a neighbour, G has no tree 2-spanner.
+
+    Triangle rule. Let e = uv lie in no triangle of G. If e were not in T, u and v
+    would need a common T-neighbour w, and uvw would be a triangle: so e is in T.
+    Suppose e is not a bridge of G. Then some other edge f = xy of G crosses the
+    cut that T - e leaves. f is not in T, as e is T's only edge across that cut, so
+    f has a path x-w-y of two T-edges, and the path crosses the cut, so it uses e.
+    Then x, w and y span a triangle of G that holds e, a contradiction. So an edge
+    in no triangle that is not a bridge proves that G has no tree 2-spanner.
+    """
+    if not is_connected(g):
+        raise ValidationError("a tree 2-spanner needs a connected graph")
+    return _leaf_rule_refutes(g) or _triangle_rule_refutes(g)
+
+
+def _leaf_rule_refutes(g: Graph) -> bool:
+    """Do fewer than two vertices have a neighbour whose closed neighbourhood holds
+    theirs?"""
+    if g.n < 2:
+        return False
+    closed = [set(nbrs) | {v} for v, nbrs in enumerate(g.adjacency)]
+    dominated = 0
+    for v, nbrs in enumerate(g.adjacency):
+        mine = closed[v]
+        for p in nbrs:
+            if mine <= closed[p]:
+                dominated += 1
+                if dominated == 2:
+                    return False
+                break
+    return True
+
+
+def _triangle_rule_refutes(g: Graph) -> bool:
+    """Does some edge that is not a bridge lie in no triangle?
+
+    An edge with an end of degree 1 is a bridge, so only the others are looked up
+    in the blocks, and the blocks are found only when some such edge is bare.
+    """
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    bare = [
+        j
+        for j, (u, v) in enumerate(g.edges)
+        if len(adj[u]) > 1 and len(adj[v]) > 1 and adj[u].isdisjoint(adj[v])
+    ]
+    if not bare:
+        return False
+    bridges = {es[0] for es in blocks(g).block_edges if len(es) == 1}
+    return any(j not in bridges for j in bare)
 
 
 class _TreeSearch:
@@ -225,24 +298,31 @@ class _TreeSearch:
                     for j, y in forest[x]:
                         if via[y] < 0:
                             via[y] = j
+                            if y == b:
+                                return keep_path(k, via)
                             reached.append(y)
                     for j, y in incident[x]:
                         if j > i and via[y] < 0:
                             via[y] = j
+                            if y == b:
+                                return keep_path(k, via)
                             reached.append(y)
-                if via[b] >= 0:
-                    path = []
-                    while b != a:
-                        j = via[b]
-                        path.append(j)
-                        c, d = edges[j]
-                        b = c if d == b else d
-                    witness[k] = path
-                    return True
                 if not reached:
                     return False
                 frontier = reached
             return False
+
+        def keep_path(k: int, via: list[int]) -> bool:
+            """Keep the path ``via`` traces from edge k's far end back to its near end."""
+            a, b = edges[k]
+            path = []
+            while b != a:
+                j = via[b]
+                path.append(j)
+                c, d = edges[j]
+                b = c if d == b else d
+            witness[k] = path
+            return True
 
         def may_exclude(i: int, limit: int) -> bool:
             """Does every pending edge, newest first, pass ``within`` at edge i?"""
@@ -343,11 +423,16 @@ def sigma_exact(
     include whose already-forced fundamental-cycle distance reaches it, and an
     exclude that leaves some excluded edge with no short enough path through the
     forest and the undecided edges. The search stops outright when the girth
-    floor is met. With pruning off, every tree is enumerated (useful as
-    an oracle and for exact tree counts). ``max_trees`` caps the finished trees
-    the search reaches, not its work: a pruned search may explore many branches
-    per tree, so a small cap does not bound the running time; it must be at
-    least 1.
+    floor is met, or, when that floor is 2 and ``refutes_tree_2_spanner`` proves
+    that no tree has stretch 2, when a tree of stretch 3 is found. Stopping there
+    changes only ``nodes``: the pruned search reports a tree only when it beats
+    every earlier one, so a tree whose stretch equals a proved lower bound is the
+    last one it would report, and sigma, the witness and ``trees_enumerated`` are
+    those of the full pruned search. With pruning off, every tree is enumerated
+    (useful as an oracle and for exact tree counts). ``max_trees`` caps the
+    finished trees the search reaches, not its work: a pruned search may explore
+    many branches per tree, so a small cap does not bound the running time; it
+    must be at least 1.
     """
     check_tree_cap(max_trees)
     if not is_connected(g):
@@ -364,6 +449,8 @@ def sigma_exact(
             pruned=False,
         )
     floor = lower_bound_girth(g)
+    no_2_spanner = use_pruning and floor == 2 and refutes_tree_2_spanner(g)
+    stop_at = 3 if no_2_spanner else floor
     search = _TreeSearch(g, max_trees)
     best_sigma = math.inf
     best_tree: tuple[int, ...] | None = None
@@ -371,7 +458,7 @@ def sigma_exact(
         if forced < best_sigma:
             best_sigma, best_tree = forced, tuple(search.included)
             if use_pruning:
-                if best_sigma <= floor:
+                if best_sigma <= stop_at:
                     break
                 search.cutoff = best_sigma
     assert best_tree is not None, "connected graph must have a spanning tree"
@@ -382,4 +469,5 @@ def sigma_exact(
         lower_bound_used=floor,
         pruned=use_pruning,
         nodes=search.nodes,
+        no_tree_2_spanner=no_2_spanner,
     )

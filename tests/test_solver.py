@@ -26,6 +26,7 @@ from treestretch.graphs import (
     ParameterError,
     ResourceLimitError,
     ValidationError,
+    girth,
     is_connected,
     is_spanning_tree,
     make_graph,
@@ -34,10 +35,13 @@ from treestretch.graphs import (
     stretch,
 )
 from treestretch.solver import (
+    _leaf_rule_refutes,
     _TreeSearch,
+    _triangle_rule_refutes,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
     lower_bound_girth,
+    refutes_tree_2_spanner,
     sigma_exact,
 )
 
@@ -271,7 +275,9 @@ class TestSigmaExact:
     # change to the bounds shows here.
     NODES = {
         "Petersen": (Petersen(), 4, 21),
-        "K_{3,3,3}": (CompleteMultipartite((3, 3, 3)), 3, 1_750),
+        "K_{3,3,3}": (CompleteMultipartite((3, 3, 3)), 3, 14),
+        "K_{4,4,4}": (CompleteMultipartite((4, 4, 4)), 3, 26),
+        "K_{8,20,24,28}": (CompleteMultipartite((8, 20, 24, 28)), 3, 506),
         "rect(3,4)": (RectGrid(3, 4), 3, 194),
         "rect(3,5)": (RectGrid(3, 5), 3, 656),
         "rect(4,4)": (RectGrid(4, 4), 5, 1_191),
@@ -290,9 +296,9 @@ class TestSigmaExact:
     # The same search on shuffled vertex labels, which reorder the edge list: (spec,
     # seed of the random.Random that shuffles the labels, sigma, nodes).
     NODES_RELABELLED = {
-        "K_{3,3,3}~0": (CompleteMultipartite((3, 3, 3)), 0, 3, 303),
-        "K_{3,3,3}~1": (CompleteMultipartite((3, 3, 3)), 1, 3, 597),
-        "K_{3,3,3}~2": (CompleteMultipartite((3, 3, 3)), 2, 3, 1_141),
+        "K_{3,3,3}~0": (CompleteMultipartite((3, 3, 3)), 0, 3, 12),
+        "K_{3,3,3}~1": (CompleteMultipartite((3, 3, 3)), 1, 3, 9),
+        "K_{3,3,3}~2": (CompleteMultipartite((3, 3, 3)), 2, 3, 17),
         "rect(4,4)~0": (RectGrid(4, 4), 0, 5, 3_155),
         "rect(4,4)~1": (RectGrid(4, 4), 1, 5, 2_228),
     }
@@ -311,3 +317,72 @@ class TestSigmaExact:
         res = sigma_exact(g)
         assert res.sigma == 4
         assert stretch(g, res.optimal_tree).stretch == 4
+
+
+class TestTree2SpannerRefutation:
+    def test_sound_on_every_small_graph_with_a_triangle(self):
+        # Every connected labelled graph of girth 3 on at most 5 vertices: 541 graphs.
+        seen = 0
+        for n in range(3, 6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = make_graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                if g.m < n or not is_connected(g) or girth(g) != 3:
+                    continue
+                seen += 1
+                refuted = refutes_tree_2_spanner(g)
+                slow = sigma_exact(g, use_pruning=False)
+                fast = sigma_exact(g)
+                assert slow.sigma >= 3 or not refuted
+                assert fast.no_tree_2_spanner == refuted
+                assert fast.lower_bound_used == 2
+                assert (fast.sigma, fast.optimal_tree.tree_edges) == (
+                    slow.sigma,
+                    slow.optimal_tree.tree_edges,
+                )
+        assert seen == 541
+
+    def test_leaf_rule_alone_refutes_octahedron(self):
+        # K_{2,2,2}: every edge lies in a triangle, and no vertex's closed
+        # neighbourhood lies in a neighbour's, so no vertex can be a leaf.
+        g = make(CompleteMultipartite((2, 2, 2))).graph
+        assert _leaf_rule_refutes(g)
+        assert not _triangle_rule_refutes(g)
+        assert refutes_tree_2_spanner(g)
+        res = sigma_exact(g)
+        assert (res.sigma, res.no_tree_2_spanner, res.lower_bound_used) == (3, True, 2)
+
+    def test_triangle_rule_alone_refutes_triangle_glued_to_square(self):
+        # Triangle 0-1-2 and 4-cycle 2-3-4-5 share vertex 2. Vertices 0 and 1
+        # dominate each other, but edge 2-3 lies in no triangle and on a cycle.
+        g = make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
+        assert not _leaf_rule_refutes(g)
+        assert _triangle_rule_refutes(g)
+        assert sigma_exact(g, use_pruning=False).sigma == 3
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make(Complete(6)).graph,
+            make(Wheel(7)).graph,
+            # The square of the path P_6: the path is a tree of stretch 2, and no
+            # vertex is universal.
+            make_graph(6, [(i, j) for i in range(6) for j in (i + 1, i + 2) if j < 6]),
+        ],
+        ids=["K6", "W7", "P6^2"],
+    )
+    def test_tree_2_spanners_not_refuted(self, g):
+        assert not refutes_tree_2_spanner(g)
+        res = sigma_exact(g)
+        assert (res.sigma, res.no_tree_2_spanner) == (2, False)
+
+    def test_rules_are_incomplete(self):
+        # trirect(3,4) has stretch 3 yet passes both necessary conditions.
+        g = make(TriRectGrid(3, 4)).graph
+        assert not refutes_tree_2_spanner(g)
+        res = sigma_exact(g)
+        assert (res.sigma, res.no_tree_2_spanner) == (3, False)
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValidationError):
+            refutes_tree_2_spanner(make_graph(4, [(0, 1), (2, 3)]))
