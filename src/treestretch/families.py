@@ -406,28 +406,21 @@ def _bipartite_graph(spec: CompleteBipartite) -> tuple[Graph, dict]:
 
 
 def multipartite_tree(spec: CompleteMultipartite, g: Graph) -> SpanningTree:
-    """Optimal tree for a complete multipartite graph with three or more parts.
+    """Optimal tree for a complete multipartite graph.
 
     Parts may come in any order. The tree is rooted at the first vertex of the
     smallest part (the earliest of equal parts). If that part is a singleton,
-    its vertex is adjacent to all others and the star gives stretch 2;
-    otherwise a double star over it and the first vertex of the next-smallest
-    part gives stretch 3, which is optimal. ``g`` is the graph of ``spec``.
+    its vertex is adjacent to all others and the star gives stretch 2 (or 1
+    with two parts); otherwise a double star over it and the first vertex of
+    the next-smallest part gives stretch 3, which is optimal. ``g`` is the
+    graph of ``spec``.
     """
     parts = spec.parts
-    if len(parts) < 3:
-        raise ParameterError("use the bipartite construction for two parts")
     smallest, next_smallest = sorted(range(len(parts)), key=parts.__getitem__)[:2]
     root = sum(parts[:smallest])
     if parts[smallest] == 1:
         return star_tree(g, root)
     return double_star_tree(g, root, sum(parts[:next_smallest]))
-
-
-def _multipartite_tree(spec: CompleteMultipartite, g: Graph) -> SpanningTree:
-    if len(spec.parts) == 2:
-        return double_star_tree(g, 0, spec.parts[0])
-    return multipartite_tree(spec, g)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +893,7 @@ FAMILIES: tuple[Family, ...] = (
            {"complete-multipartite": _ints(None, lambda *parts: CompleteMultipartite(parts))},
            graph=_multipartite_graph,
            sigma=lambda s, g: 2 if len(s.parts) > 2 and min(s.parts) == 1 else 3,
-           tree=_multipartite_tree),
+           tree=multipartite_tree),
     Family("petersen", Petersen, {"petersen": _no_words(lambda rng: Petersen())},
            graph=_petersen_graph, sigma=lambda s, g: 4, tree=lambda s, g: petersen_tree(g)),
     Family("split", Split,

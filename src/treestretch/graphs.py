@@ -5,9 +5,9 @@ is kept in canonical sorted order so that edge indices are stable and enumeratio
 order is reproducible. Spanning trees are stored as frozen sets of edge indices into
 the host graph, which makes tree/cotree bookkeeping and serialization cheap.
 
-Tree queries (distance, paths, fundamental cycles) are answered by rooting the tree
-once at vertex 0 and walking parents; O(n) per query is fine at the scales this
-library targets, so there is no LCA preprocessing.
+Tree distances and paths are answered by rooting the tree once at vertex 0 and
+walking parents; O(n) per query is fine at the scales this library targets, so
+there is no LCA preprocessing.
 """
 
 from __future__ import annotations
@@ -303,30 +303,6 @@ def stretch(g: Graph, t: SpanningTree) -> StretchCertificate:
             witness = (u, v)
     path = tree_path(t, witness[0], witness[1]) if witness else ()
     return StretchCertificate(stretch=best, witness_edge=witness, witness_path=path)
-
-
-def fundamental_cycle(g: Graph, t: SpanningTree, edge: int) -> tuple[int, ...]:
-    """Vertex cycle of cotree edge ``edge``: the tree path u..v closed by the edge.
-
-    The returned tuple lists each cycle vertex once; its length equals the cycle
-    length (tree path edges plus the closing cotree edge).
-    """
-    if not (0 <= edge < g.m):
-        raise ParameterError(f"edge index {edge} out of range")
-    if edge in t.tree_edges:
-        raise DomainError(f"edge {g.edges[edge]} is a tree edge, not a cotree edge")
-    u, v = g.edges[edge]
-    return tree_path(t, u, v)
-
-
-def fundamental_cycle_edges(g: Graph, t: SpanningTree, edge: int) -> frozenset[int]:
-    """Edge-index form of :func:`fundamental_cycle` (tree path edges + the edge)."""
-    cycle = fundamental_cycle(g, t, edge)
-    idx = {edge}
-    for a, b in zip(cycle, cycle[1:]):
-        key = (a, b) if a < b else (b, a)
-        idx.add(g.edge_index[key])
-    return frozenset(idx)
 
 
 def girth(g: Graph) -> int | float:

@@ -1,4 +1,4 @@
-"""Plane embeddings, dual graphs, and face-level lower bounds.
+"""Plane embeddings, their dual graphs and face levels, and a DOT overlay.
 
 A plane graph is given by its faces alone: each face is a vertex cycle, whose
 sides join consecutive vertices (the last vertex to the first), with one face
@@ -8,10 +8,12 @@ every side to lie on exactly two distinct faces (so the dual graph is
 loop-free), the graph to be connected, and Euler's formula, which pins the
 face count.
 
-A plane graph is its own dual: dual edge i crosses primal edge i and joins
-the two faces in ``edge_faces[i]``. Parallel dual edges are allowed (two
+A plane graph carries its own dual: dual edge i crosses primal edge i and
+joins the two faces in ``edge_faces[i]``. Parallel dual edges are allowed (two
 faces may share several edges), which is why the dual is kept as per-face
-adjacency and not as a plain ``Graph``.
+adjacency and not as a plain ``Graph``. No layer builds dual trees or cuts:
+the tree-cotree duality the paper's grid proofs use is checked in the tests,
+on ``edge_faces`` and ``face_adjacency`` alone.
 
 Face levels are breadth-first distances from the outer face in the dual. For
 the grid families the maximum level has a closed form, and a face of level
@@ -30,14 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
-from .graphs import (
-    DomainError,
-    Graph,
-    SpanningTree,
-    ValidationError,
-    is_connected,
-    make_graph,
-)
+from .graphs import Graph, ValidationError, is_connected, make_graph
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ class FaceLevels:
     """Breadth-first face distances from the outer face in the dual graph."""
 
     level: tuple[int, ...]
-    predecessor: tuple[int, ...]
 
     @property
     def lambda_max(self) -> int:
@@ -143,7 +137,6 @@ class FaceLevels:
 def face_levels(plane: PlaneGraph) -> FaceLevels:
     """BFS over the dual from the outer face; neighbors in edge-index order."""
     level = [-1] * plane.n_faces
-    pred = [-1] * plane.n_faces
     level[plane.outer_face] = 0
     queue = deque([plane.outer_face])
     while queue:
@@ -151,9 +144,8 @@ def face_levels(plane: PlaneGraph) -> FaceLevels:
         for _, other in plane.face_adjacency[f]:
             if level[other] == -1:
                 level[other] = level[f] + 1
-                pred[other] = f
                 queue.append(other)
-    return FaceLevels(level=tuple(level), predecessor=tuple(pred))
+    return FaceLevels(level=tuple(level))
 
 
 # ---------------------------------------------------------------------------
@@ -172,58 +164,7 @@ def embed_cube() -> PlaneGraph:
 
 
 # ---------------------------------------------------------------------------
-# Tree-cotree duality
-
-
-@dataclass(frozen=True)
-class DualSpanningTree:
-    """A spanning tree of the dual graph given by primal edge indices."""
-
-    plane: PlaneGraph
-    tree_edges: frozenset[int]
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(
-            tuple(p for p in pairs if p[0] in self.tree_edges)
-            for pairs in self.plane.face_adjacency
-        )
-
-
-def is_dual_spanning_tree(plane: PlaneGraph, edge_set: frozenset[int]) -> tuple[bool, str | None]:
-    """Check that the dual edges with these indices span all faces as a tree."""
-    nf = plane.n_faces
-    for e in edge_set:
-        if not (0 <= e < plane.graph.m):
-            return False, f"edge index {e} out of range"
-    if len(edge_set) != nf - 1:
-        return False, f"{len(edge_set)} edges cannot span {nf} faces"
-    seen = {plane.outer_face}
-    stack = [plane.outer_face]
-    while stack:
-        f = stack.pop()
-        for e, other in plane.face_adjacency[f]:
-            if e in edge_set and other not in seen:
-                seen.add(other)
-                stack.append(other)
-    if len(seen) != nf:
-        return False, "the dual edges do not connect all faces"
-    return True, None
-
-
-def cotree_dual_tree(plane: PlaneGraph, tree: SpanningTree) -> DualSpanningTree:
-    """The dual spanning tree formed by the cotree edges of a primal tree.
-
-    For any plane graph, the edges outside a spanning tree always connect all
-    faces into a tree of the dual; this validates and packages that set.
-    """
-    if tree.host is not plane.graph and tree.host != plane.graph:
-        raise ValidationError("the spanning tree belongs to a different graph")
-    cotree = frozenset(tree.cotree_edges)
-    ok, reason = is_dual_spanning_tree(plane, cotree)
-    if not ok:
-        raise ValidationError(f"cotree is not a dual spanning tree: {reason}")
-    return DualSpanningTree(plane=plane, tree_edges=cotree)
+# Drawing
 
 
 def overlay_dot(plane: PlaneGraph, coordinates: Sequence[Sequence[float]] | None = None) -> str:
@@ -250,27 +191,3 @@ def overlay_dot(plane: PlaneGraph, coordinates: Sequence[Sequence[float]] | None
         lines.append(f'  f{fa} -- f{fb} [style=dotted, label="{e}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def dual_fundamental_cut(dtree: DualSpanningTree, edge: int) -> frozenset[int]:
-    """Dual edges crossing the two face components of the dual tree minus one edge.
-
-    ``edge`` must be a tree edge of the dual spanning tree. The returned set
-    always contains ``edge`` itself.
-    """
-    if edge not in dtree.tree_edges:
-        raise DomainError(f"edge {edge} is not an edge of the dual spanning tree")
-    fa, fb = dtree.plane.edge_faces[edge]
-    comp = {fa}
-    stack = [fa]
-    while stack:
-        f = stack.pop()
-        for e, other in dtree.adjacency[f]:
-            if e != edge and other not in comp:
-                comp.add(other)
-                stack.append(other)
-    return frozenset(
-        e
-        for e, (x, y) in enumerate(dtree.plane.edge_faces)
-        if (x in comp) != (y in comp)
-    )

@@ -38,19 +38,14 @@ from treestretch.families import (
 )
 from treestretch.graphs import (
     blocks,
-    fundamental_cycle,
-    fundamental_cycle_edges,
     girth,
     induced_subgraph,
     spanning_tree,
     stretch,
+    tree_distance,
+    tree_path,
 )
-from treestretch.planar import (
-    cotree_dual_tree,
-    dual_fundamental_cut,
-    embed_cube,
-    face_levels,
-)
+from treestretch.planar import embed_cube, face_levels
 from treestretch.solver import (
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
@@ -105,8 +100,22 @@ def test_criterion_03_three_part_multipartite_dichotomy():
         assert sigma_exact(g).sigma == expected
         if parts[0] >= 2:
             def check(edge_set):
-                t = spanning_tree(g, edge_set)
-                assert stretch(g, t).stretch >= 3
+                # n - 1 distinct edges that reach every vertex form a spanning
+                # tree; a non-tree edge whose ends share no tree neighbour has
+                # tree distance at least 3.
+                assert len(set(edge_set)) == g.n - 1
+                adj = [set() for _ in range(g.n)]
+                for i in edge_set:
+                    u, v = g.edges[i]
+                    adj[u].add(v)
+                    adj[v].add(u)
+                seen, stack = {0}, [0]
+                while stack:
+                    fresh = adj[stack.pop()] - seen
+                    seen |= fresh
+                    stack += fresh
+                assert len(seen) == g.n
+                assert any(v not in adj[u] and not adj[u] & adj[v] for u, v in g.edges)
 
             enumerate_spanning_trees(g, visitor=check)
 
@@ -166,7 +175,7 @@ def test_criterion_05_seeded_convex_instances_reach_three():
         tree = construct_tree(inst)
         assert stretch(g, tree).stretch == 3
         for e in sorted(tree.cotree_edges):
-            assert len(fundamental_cycle(g, tree, e)) == 4
+            assert tree_distance(tree, *g.edges[e]) == 3
         assert sigma_exact(g).sigma == 3
 
 
@@ -213,7 +222,20 @@ def test_criterion_08_tri_rect_grid_formula_and_levels():
             assert face_levels(embed_grid(spec)).lambda_max == m - 1
 
 
+def faces_reached(plane, dual_edges, skip=None):
+    """Faces reached from the outer face over ``dual_edges`` other than ``skip``."""
+    seen, stack = {plane.outer_face}, [plane.outer_face]
+    while stack:
+        for e, other in plane.face_adjacency[stack.pop()]:
+            if e in dual_edges and e != skip and other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
 def test_criterion_09_cycle_cut_duality_exhaustive():
+    """The cotree spans the dual as a tree, and each cotree edge's fundamental
+    cycle is its fundamental cut in that dual tree."""
     planes = [
         embed_grid(RectGrid(2, 3)),
         embed_grid(RectGrid(3, 3)),
@@ -228,13 +250,15 @@ def test_criterion_09_cycle_cut_duality_exhaustive():
         assert count == expected
         for edge_set in trees:
             t = spanning_tree(g, edge_set)
-            dtree = cotree_dual_tree(plane, t)
-            assert dtree.tree_edges == frozenset(t.cotree_edges)
-            for e in sorted(t.cotree_edges):
-                cyc = fundamental_cycle_edges(g, t, e)
-                cut = dual_fundamental_cut(dtree, e)
-                assert cyc == cut
-                assert len(cyc) == len(cut)
+            cotree = t.cotree_edges
+            assert len(cotree) == plane.n_faces - 1
+            assert len(faces_reached(plane, cotree)) == plane.n_faces
+            for e in cotree:
+                path = tree_path(t, *g.edges[e])
+                cycle = {e} | {g.edge_index[min(p), max(p)] for p in zip(path, path[1:])}
+                side = faces_reached(plane, cotree, skip=e)
+                cut = {k for k, faces in enumerate(plane.edge_faces) if len(side & {*faces}) == 1}
+                assert cycle == cut
 
 
 def test_criterion_10_block_decomposition_localizes_stretch():

@@ -36,7 +36,6 @@ from treestretch.families import (
 from treestretch.convex import validate_instance
 from treestretch.graphs import (
     DomainError,
-    ParameterError,
     ValidationError,
     make_graph,
     stretch,
@@ -134,14 +133,10 @@ class TestMultipartite:
         t = multipartite_tree(spec, g)
         assert stretch(g, t).stretch == 3
 
-    def test_requires_three_parts(self):
-        spec = CompleteMultipartite((2, 2))
-        with pytest.raises(ParameterError):
-            multipartite_tree(spec, make(spec).graph)
-
     @pytest.mark.parametrize(
         "parts,center,other",
-        [((2, 1, 2), 2, None), ((3, 2, 2), 3, 5), ((3, 3, 2, 3), 6, 0), ((4, 2, 3), 4, 6)],
+        [((2, 1, 2), 2, None), ((3, 2, 2), 3, 5), ((3, 3, 2, 3), 6, 0), ((4, 2, 3), 4, 6),
+         ((3, 2), 3, 0)],
     )
     def test_any_part_order(self, parts, center, other):
         spec = CompleteMultipartite(parts)

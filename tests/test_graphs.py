@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestretch.graphs import (
-    DomainError,
     ParameterError,
     ValidationError,
     blocks,
-    fundamental_cycle,
-    fundamental_cycle_edges,
     girth,
     graph_from_json,
     graph_to_json,
@@ -184,30 +181,24 @@ class TestFundamentalCycle:
     def test_chord_cycle(self):
         g = cycle_graph(5)
         t = spanning_tree_from_pairs(g, [(i, i + 1) for i in range(4)])
-        chord = g.edge_index[(0, 4)]
-        cyc = fundamental_cycle(g, t, chord)
+        cyc = tree_path(t, 0, 4)
         assert len(cyc) == 5
         assert set(cyc) == set(range(5))
-
-    def test_tree_edge_refused(self):
-        g = cycle_graph(4)
-        t = spanning_tree(g, [0, 1, 2])
-        with pytest.raises(DomainError):
-            fundamental_cycle(g, t, 0)
 
     def test_edge_set_version(self):
         g = cycle_graph(4)
         t = spanning_tree(g, [0, 1, 2])
-        cotree = next(iter(t.cotree_edges))
-        es = fundamental_cycle_edges(g, t, cotree)
-        assert es == frozenset({0, 1, 2, 3})
+        (cotree,) = t.cotree_edges
+        path = tree_path(t, *g.edges[cotree])
+        es = {cotree} | {g.edge_index[min(p), max(p)] for p in zip(path, path[1:])}
+        assert es == {0, 1, 2, 3}
 
     def test_cycle_length_equals_tree_distance_plus_one(self):
         g = complete_graph(6)
         t = spanning_tree_from_pairs(g, [(0, v) for v in range(1, 6)])
         for e in sorted(t.cotree_edges):
             u, v = g.edges[e]
-            assert len(fundamental_cycle(g, t, e)) == tree_distance(t, u, v) + 1
+            assert len(tree_path(t, u, v)) == tree_distance(t, u, v) + 1
 
 
 def naive_girth(g):

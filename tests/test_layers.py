@@ -1,10 +1,13 @@
-"""Module layering of the package, read from the source with ``ast``.
+"""Module layering and exports of the package, read from the source with ``ast``.
 
 The modules form one strict order: ``graphs`` at the bottom; ``solver``,
 ``convex`` and ``planar`` on it; ``families`` on those; ``cli`` on top, and
 the package ``__init__`` re-exporting the library beside it. A module imports
 only modules of a lower layer, at module level, and without a
 ``TYPE_CHECKING`` block, so there is no import cycle to hide.
+
+Every export has a caller in the package, apart from a listed few, and every
+name the benchmark patches or calls exists.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "treestretch"
+import treestretch
+import treestretch.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "treestretch"
 LAYERS = {
     "graphs": 0,
     "solver": 1,
@@ -25,6 +32,14 @@ LAYERS = {
     "__init__": 3,
 }
 MODULES = sorted(p.stem for p in SOURCE.glob("*.py"))
+# Exports that no module of the package calls, each with its reason.
+UNCALLED_EXPORTS = {
+    "enumerate_spanning_trees": "the tests' independent oracle for the exact search",
+    "count_spanning_trees_kirchhoff": "the tests' matrix-tree oracle; the benchmark wraps it",
+    "induced_subgraph": "solving each block separately (ROADMAP item 11) will call it",
+    "relabel_graph": "a label-independent solve (ROADMAP item 14) will call it",
+    "sigma_formula": "the closed form without a tree; optimal_construction computes it too",
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -109,3 +124,69 @@ def test_no_function_calls_itself(module):
         )
     ]
     assert recursive == []
+
+
+def _used_names(node: ast.AST, modules: set[str], inside: tuple[str, ...] = ()) -> set[str]:
+    """Names loaded or imported under ``node``, except inside their own def or class.
+
+    A name read off a package module (``convex_mod.construct_tree``, where
+    ``convex_mod`` is in ``modules``) counts as loaded.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = (*inside, node.name)
+    used = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        used.add(node.id)
+    elif isinstance(node, ast.alias):
+        used.add(node.name)
+    elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+        used.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        used |= _used_names(child, modules, inside)
+    return used - set(inside)
+
+
+def _literal(path: Path, name: str):
+    """The literal value of the module-level assignment to ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+    return ast.literal_eval(value)
+
+
+def test_every_export_has_a_caller():
+    exports = set(_literal(SOURCE / "__init__.py", "__all__"))
+    used = set()
+    for module in MODULES:
+        if module != "__init__":
+            tree = _tree(module)
+            aliases = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                for alias in node.names
+            }
+            used |= _used_names(tree, aliases)
+    assert sorted(exports - used - set(UNCALLED_EXPORTS)) == []
+    assert sorted(set(UNCALLED_EXPORTS) - exports) == []
+    assert sorted(set(UNCALLED_EXPORTS) & used) == []
+
+
+def test_benchmark_names_exist():
+    """The benchmark worker patches these on the cli module and calls these
+    on the package; a missing one would break its traced runs."""
+    worker = ROOT / "perfbench" / "worker.py"
+    missing = [
+        f"treestretch.cli.{name}"
+        for name in _literal(worker, "CLI_CHILDREN")
+        if not hasattr(treestretch.cli, name)
+    ] + [
+        f"treestretch.{name}"
+        for name in _literal(worker, "LIBRARY_CALLS")
+        if not hasattr(treestretch, name)
+    ]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Plane embeddings, face levels, and tree-cotree duality."""
+"""Plane embeddings, dual graphs, face levels, and the DOT overlay."""
 
 from __future__ import annotations
 
@@ -15,22 +15,8 @@ from treestretch.families import (
     make,
     stretch_lower_bound,
 )
-from treestretch.planar import (
-    cotree_dual_tree,
-    dual_fundamental_cut,
-    embed_cube,
-    face_levels,
-    is_dual_spanning_tree,
-    make_plane_graph,
-    overlay_dot,
-)
-from treestretch.graphs import (
-    DomainError,
-    ValidationError,
-    fundamental_cycle_edges,
-    make_graph,
-    spanning_tree,
-)
+from treestretch.planar import embed_cube, face_levels, make_plane_graph, overlay_dot
+from treestretch.graphs import DomainError, ValidationError, spanning_tree, tree_path
 from treestretch.solver import enumerate_spanning_trees
 
 
@@ -146,11 +132,9 @@ class TestFaceLevels:
     def test_predecessor_points_one_level_down(self):
         plane = embed_grid(RectGrid(3, 4))
         fl = face_levels(plane)
-        for f in range(plane.n_faces):
-            if f == plane.outer_face:
-                assert fl.predecessor[f] == -1
-            else:
-                assert fl.level[fl.predecessor[f]] == fl.level[f] - 1
+        for f in plane.bounded_faces:
+            below = [fl.level[other] for _, other in plane.face_adjacency[f]]
+            assert min(below) == fl.level[f] - 1
 
 
 class TestLambdaFormulas:
@@ -209,40 +193,20 @@ class TestDualGraph:
 
 
 class TestDuality:
-    def test_rejects_foreign_tree(self):
-        plane = embed_grid(RectGrid(2, 2))
-        other = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-        t = spanning_tree(other, [0, 1, 2])
-        with pytest.raises(ValidationError):
-            cotree_dual_tree(plane, t)
-
-    def test_not_a_dual_tree(self):
-        plane = embed_grid(RectGrid(2, 3))
-        ok, reason = is_dual_spanning_tree(plane, frozenset({0}))
-        assert not ok and "cannot span" in reason
-
-    def test_cut_requires_dual_tree_edge(self):
-        plane = embed_grid(RectGrid(2, 2))
-        t = spanning_tree(plane.graph, [0, 1, 2])
-        dtree = cotree_dual_tree(plane, t)
-        tree_edge = next(iter(t.tree_edges))
-        with pytest.raises(DomainError):
-            dual_fundamental_cut(dtree, tree_edge)
-
     def test_cycle_equals_cut_exhaustive_small(self):
+        """One square: every edge joins the two faces, so each cut is all four
+        edges, and so is each fundamental cycle."""
         plane = embed_grid(RectGrid(2, 2))
         g = plane.graph
+        assert set(plane.edge_faces) == {(0, 1)}
 
         trees = []
         enumerate_spanning_trees(g, visitor=lambda t: trees.append(t))
         assert len(trees) == 4
         for edge_set in trees:
             t = spanning_tree(g, edge_set)
-            dtree = cotree_dual_tree(plane, t)
-            for e in sorted(t.cotree_edges):
-                cyc = fundamental_cycle_edges(g, t, e)
-                cut = dual_fundamental_cut(dtree, e)
-                assert cyc == cut
+            (e,) = t.cotree_edges
+            assert set(tree_path(t, *g.edges[e])) == set(range(4))
 
 
 class TestOverlayDot:
