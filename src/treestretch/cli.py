@@ -4,7 +4,7 @@ Every subcommand is a thin shell over the library. JSON reports carry a
 ``"schema": 1`` field and are emitted with sorted keys, so identical
 arguments (and seed) produce byte-identical output except for the
 ``runtime_s`` field. Exit codes: 0 success, 1 validation or parameter
-error or standard output closed early, 2 enumeration cap exceeded.
+error or standard output closed early, 2 search-node budget exceeded.
 """
 
 from __future__ import annotations
@@ -54,22 +54,27 @@ from .graphs import (
     to_dot,
 )
 from .planar import embed_cube, face_levels, overlay_dot
-from .solver import DEFAULT_MAX_TREES, check_tree_cap, lower_bound_girth, sigma_exact
+from .solver import DEFAULT_MAX_NODES, lower_bound_girth, sigma_exact
 
 
-_MAX_TREES_HELP = (
-    "exit 2 when the search reaches more than this many spanning trees; the cap "
-    "counts finished trees, not search work, so it does not bound the running time"
-)
-
-
-def _tree_cap(text: str) -> int:
-    """Parse ``--max-trees``; a cap below 1 is refused while parsing, before any output."""
+def _node_budget(text: str) -> int:
+    """Parse ``--max-nodes``; a budget below 1 is refused while parsing, before any output."""
     try:
-        cap = int(text)
+        budget = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    return check_tree_cap(cap)
+    if budget < 1:
+        raise ParameterError(f"the search-node budget must be at least 1, got {budget}")
+    return budget
+
+
+def _add_node_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-nodes",
+        type=_node_budget,
+        default=DEFAULT_MAX_NODES,
+        help="exit 2 when the exact search would take more than this many steps",
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +160,7 @@ def cmd_construct(args) -> int:
         "lower_bound_level": level_lb,
     }
     if args.verify:
-        exact = sigma_exact(g, use_pruning=not args.no_prune, max_trees=args.max_trees)
+        exact = sigma_exact(g, use_pruning=not args.no_prune, max_nodes=args.max_nodes)
         report["sigma_exact"] = exact.sigma
         report["trees_enumerated"] = exact.trees_enumerated
     report["runtime_s"] = round(time.perf_counter() - started, 6)
@@ -166,7 +171,7 @@ def cmd_construct(args) -> int:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     g, _ = graph_from_json(_read_json(args.file))
-    result = sigma_exact(g, use_pruning=not args.no_prune, max_trees=args.max_trees)
+    result = sigma_exact(g, use_pruning=not args.no_prune, max_nodes=args.max_nodes)
     report = {
         "schema": 1,
         "command": "solve",
@@ -297,7 +302,7 @@ def cmd_reproduce(args) -> int:
         girth_lb, level_lb = _lower_bounds(result.family_graph)
         exact_sigma = None
         if run_exact:
-            exact_sigma = sigma_exact(g, max_trees=args.max_trees).sigma
+            exact_sigma = sigma_exact(g).sigma
         ok = result.certificate.stretch == result.sigma
         if exact_sigma is not None:
             ok = ok and exact_sigma == result.sigma
@@ -333,18 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*")
     p.add_argument("--verify", action="store_true", help="also run the exact solver")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument(
-        "--max-trees", type=_tree_cap, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP
-    )
+    _add_node_budget(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("solve", help="exact minimum stretch of a graph JSON file")
     p.add_argument("file", help="graph JSON path, or - for stdin")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument(
-        "--max-trees", type=_tree_cap, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP
-    )
+    _add_node_budget(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("convex", help="validate and solve a host-tree instance JSON")
@@ -358,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("reproduce", help="run the verification matrix")
-    p.add_argument(
-        "--max-trees", type=_tree_cap, default=DEFAULT_MAX_TREES, help=_MAX_TREES_HELP
-    )
     p.set_defaults(func=cmd_reproduce)
 
     return parser

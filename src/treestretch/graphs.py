@@ -36,11 +36,11 @@ class DomainError(GraphError):
 
 
 class ResourceLimitError(GraphError):
-    """An enumeration cap was exceeded; carries the partial count."""
+    """The exact search's node budget was exceeded; ``nodes`` is the steps it took."""
 
-    def __init__(self, message: str, partial_count: int):
+    def __init__(self, message: str, nodes: int):
         super().__init__(message)
-        self.partial_count = partial_count
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -500,13 +500,8 @@ def graph_from_json(data: Mapping) -> tuple[Graph, dict]:
     return make_graph(n, edges), dict(meta)
 
 
-def to_dot(
-    g: Graph,
-    tree: SpanningTree | None = None,
-    coordinates: Sequence[Sequence[float]] | None = None,
-) -> str:
-    """DOT export; tree edges solid, cotree edges dashed, coordinates as pos hints."""
-    tree_set = tree.tree_edges if tree is not None else None
+def to_dot(g: Graph, coordinates: Sequence[Sequence[float]] | None = None) -> str:
+    """DOT export, with coordinates as pos hints."""
     lines = ["graph G {"]
     for v in range(g.n):
         if coordinates is not None:
@@ -514,10 +509,7 @@ def to_dot(
             lines.append(f'  {v} [pos="{x},{y}!"];')
         else:
             lines.append(f"  {v};")
-    for i, (u, v) in enumerate(g.edges):
-        if tree_set is None or i in tree_set:
-            lines.append(f"  {u} -- {v};")
-        else:
-            lines.append(f"  {u} -- {v} [style=dashed];")
+    for u, v in g.edges:
+        lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

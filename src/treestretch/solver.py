@@ -22,7 +22,8 @@ a tree 2-spanner, one on the leaves and one on the edges in no triangle, decide
 what the search would otherwise spend almost all its nodes proving, as on the
 complete multipartite graphs with every part of at least two vertices. The
 search is one loop over an explicit stack, with no recursion limit on its depth;
-``ExactResult.nodes`` counts its steps that reach an edge or a tree.
+``ExactResult.nodes`` counts its steps that reach an edge or a tree, and the
+search's one resource limit is a budget on that count.
 
 A hand-rolled Bareiss elimination provides the matrix-tree count in exact integer
 arithmetic as an independent cross-check on the enumerator.
@@ -37,7 +38,6 @@ from typing import Callable, Iterator
 from .graphs import (
     DomainError,
     Graph,
-    ParameterError,
     ResourceLimitError,
     SpanningTree,
     ValidationError,
@@ -47,7 +47,7 @@ from .graphs import (
     spanning_tree,
 )
 
-DEFAULT_MAX_TREES = 10_000_000
+DEFAULT_MAX_NODES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ class ExactResult:
     pruned: bool
     nodes: int = 0
     no_tree_2_spanner: bool = False
-
-
-def check_tree_cap(max_trees: int) -> int:
-    """Return ``max_trees`` if it is a usable spanning-tree cap (at least 1)."""
-    if max_trees < 1:
-        raise ParameterError(f"the spanning-tree cap must be at least 1, got {max_trees}")
-    return max_trees
 
 
 def lower_bound_girth(g: Graph) -> int:
@@ -195,7 +188,8 @@ class _TreeSearch:
     The search keeps one forest, as adjacency lists, and the ``pending`` list of
     the edges excluded along the current branch, and walks them in one loop over an
     explicit stack of frames. A node is one step of that walk: an edge reached,
-    skipped ones too, or a finished tree. At edge i = (u, v) a BFS from u in the
+    skipped ones too, or a finished tree; the step past ``max_nodes`` raises
+    ResourceLimitError instead. At edge i = (u, v) a BFS from u in the
     forest gives u's tree distances. If it reaches v, edge i would close a cycle and
     is skipped. Otherwise the include branch adds it to the forest, and the exclude
     branch, a frame (i, forced) popped when the include branch is done, adds it to
@@ -237,10 +231,10 @@ class _TreeSearch:
     A stale witness needs no undo.
     """
 
-    def __init__(self, g: Graph, max_trees: int):
+    def __init__(self, g: Graph, max_nodes: int):
         self.n = g.n
         self.edges = g.edges
-        self.max_trees = max_trees
+        self.max_nodes = max_nodes
         self.included: list[int] = []
         self.count = 0
         self.nodes = 0
@@ -336,12 +330,12 @@ class _TreeSearch:
         while True:
             # Walk down from edge i, include first, to a leaf or a refused include.
             while True:
+                if self.nodes >= self.max_nodes:
+                    raise ResourceLimitError(
+                        f"search-node budget of {self.max_nodes} exceeded", self.nodes
+                    )
                 self.nodes += 1
                 if len(included) == n - 1:
-                    if self.count >= self.max_trees:
-                        raise ResourceLimitError(
-                            f"spanning-tree cap of {self.max_trees} exceeded", self.count
-                        )
                     self.count += 1
                     yield forced
                     cutoff = self.cutoff
@@ -399,13 +393,12 @@ def enumerate_spanning_trees(
 ) -> int:
     """Visit every spanning tree exactly once (as a sorted tuple of edge indices).
 
-    Returns the number of trees. Raises ResourceLimitError past ``DEFAULT_MAX_TREES``
-    finished trees, reporting the partial count. The cap counts trees, not
-    search work, so it does not bound the running time.
+    Returns the number of trees. Raises ResourceLimitError when the search would
+    take more than ``DEFAULT_MAX_NODES`` steps, as sigma_exact does.
     """
     if not is_connected(g):
         raise ValidationError("cannot enumerate spanning trees of a disconnected graph")
-    search = _TreeSearch(g, DEFAULT_MAX_TREES)
+    search = _TreeSearch(g, DEFAULT_MAX_NODES)
     for _ in search.trees():
         if visitor is not None:
             visitor(tuple(search.included))
@@ -415,7 +408,7 @@ def enumerate_spanning_trees(
 def sigma_exact(
     g: Graph,
     use_pruning: bool = True,
-    max_trees: int = DEFAULT_MAX_TREES,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> ExactResult:
     """Minimum stretch over all spanning trees, with a witness tree.
 
@@ -429,12 +422,13 @@ def sigma_exact(
     every earlier one, so a tree whose stretch equals a proved lower bound is the
     last one it would report, and sigma, the witness and ``trees_enumerated`` are
     those of the full pruned search. With pruning off, every tree is enumerated
-    (useful as an oracle and for exact tree counts). ``max_trees`` caps the
-    finished trees the search reaches, not its work: a pruned search may explore
-    many branches per tree, so a small cap does not bound the running time; it
-    must be at least 1.
+    (useful as an oracle and for exact tree counts). ``max_nodes`` bounds the
+    search's work, pruned or not: ResourceLimitError, carrying the steps taken,
+    is raised when the search would take step ``max_nodes + 1``, so a search that
+    needs ``nodes`` steps succeeds with exactly that budget. A budget below 1
+    allows no step. The problem is NP-hard, so this budget, not the graph's size,
+    is what bounds the running time.
     """
-    check_tree_cap(max_trees)
     if not is_connected(g):
         raise ValidationError("sigma_exact requires a connected graph")
     n, m = g.n, g.m
@@ -451,7 +445,7 @@ def sigma_exact(
     floor = lower_bound_girth(g)
     no_2_spanner = use_pruning and floor == 2 and refutes_tree_2_spanner(g)
     stop_at = 3 if no_2_spanner else floor
-    search = _TreeSearch(g, max_trees)
+    search = _TreeSearch(g, max_nodes)
     best_sigma = math.inf
     best_tree: tuple[int, ...] | None = None
     for forced in search.trees():

@@ -162,11 +162,12 @@ class TestSolve:
         assert report["pruned"] is False
         assert len(report["optimal_tree"]) == 9
 
-    def test_cap_exit_code(self, capsys, tmp_path):
+    def test_budget_exit_code(self, capsys, tmp_path):
         path = self.make_graph_file(tmp_path, capsys, "complete", "5")
-        code, _, err = run_cli(capsys, "solve", path, "--no-prune", "--max-trees", "10")
+        code, out, err = run_cli(capsys, "solve", path, "--no-prune", "--max-nodes", "10")
         assert code == 2
-        assert "cap of 10 exceeded" in err
+        assert out == ""
+        assert err == "error: search-node budget of 10 exceeded\n"
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -174,27 +175,23 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 1
 
-    # Every command with --max-trees refuses a cap below 1 before it prints anything,
-    # whether or not it would run the search.
+    # Every command with --max-nodes refuses a budget below 1 before it prints
+    # anything, whether or not it would run the search.
+    @pytest.mark.parametrize("budget", ["0", "-3"])
     @pytest.mark.parametrize(
-        "words, cap",
+        "words",
         [
-            pytest.param(["solve", "-"], "0", id="0"),
-            pytest.param(["solve", "-"], "-3", id="-3"),
-            pytest.param(["construct", "rect-grid", "3", "3"], "-5", id="construct--5"),
-            pytest.param(["construct", "rect-grid", "3", "3"], "0", id="construct-0"),
-            pytest.param(
-                ["construct", "rect-grid", "3", "3", "--verify"], "-5", id="construct-verify--5"
-            ),
-            pytest.param(["reproduce"], "0", id="reproduce-0"),
+            pytest.param(["solve", "-"], id="solve"),
+            pytest.param(["construct", "rect-grid", "3", "3"], id="construct"),
+            pytest.param(["construct", "rect-grid", "3", "3", "--verify"], id="construct-verify"),
         ],
     )
-    def test_cap_below_one_refused(self, capsys, monkeypatch, words, cap):
+    def test_budget_below_one_refused(self, capsys, monkeypatch, words, budget):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'))
-        code, out, err = run_cli(capsys, *words, "--max-trees", cap)
+        code, out, err = run_cli(capsys, *words, "--max-nodes", budget)
         assert code == 1
         assert out == ""
-        assert err == f"error: the spanning-tree cap must be at least 1, got {cap}\n"
+        assert err == f"error: the search-node budget must be at least 1, got {budget}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/graph.json")

@@ -34,8 +34,8 @@ LAYERS = {
 MODULES = sorted(p.stem for p in SOURCE.glob("*.py"))
 # Exports that no module of the package calls, each with its reason.
 UNCALLED_EXPORTS = {
-    "enumerate_spanning_trees": "the tests' independent oracle for the exact search",
-    "count_spanning_trees_kirchhoff": "the tests' matrix-tree oracle; the benchmark wraps it",
+    "enumerate_spanning_trees": "the tests' visitor over every spanning tree, on sigma_exact's walk",
+    "count_spanning_trees_kirchhoff": "the tests' independent matrix-tree count; the benchmark wraps it",
     "induced_subgraph": "solving each block separately (ROADMAP item 11) will call it",
     "relabel_graph": "a label-independent solve (ROADMAP item 14) will call it",
     "sigma_formula": "the closed form without a tree; optimal_construction computes it too",

@@ -1,4 +1,4 @@
-"""Exact solver: enumeration, Kirchhoff counting, pruning, and caps."""
+"""Exact solver: enumeration, Kirchhoff counting, pruning, and the node budget."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from treestretch.families import (
 )
 from treestretch.graphs import (
     DomainError,
-    ParameterError,
     ResourceLimitError,
     ValidationError,
     girth,
@@ -35,6 +34,7 @@ from treestretch.graphs import (
     stretch,
 )
 from treestretch.solver import (
+    DEFAULT_MAX_NODES,
     _leaf_rule_refutes,
     _TreeSearch,
     _triangle_rule_refutes,
@@ -210,19 +210,37 @@ class TestSigmaExact:
         with pytest.raises(ValidationError):
             sigma_exact(make_graph(3, [(0, 1)]))
 
-    def test_cap_exceeded(self):
-        with pytest.raises(ResourceLimitError) as exc_info:
-            sigma_exact(complete_graph(5), use_pruning=False, max_trees=10)
-        assert exc_info.value.partial_count == 10
+    # A search that takes r.nodes steps succeeds with exactly that budget, and one
+    # step less stops it at the step it may not take.
+    @pytest.mark.parametrize(
+        "spec, use_pruning",
+        [
+            pytest.param(Petersen(), True, id="Petersen"),
+            pytest.param(Petersen(), False, id="Petersen-unpruned"),
+            pytest.param(RectGrid(4, 4), True, id="rect(4,4)"),
+        ],
+    )
+    def test_budget_is_exact(self, spec, use_pruning):
+        g = make(spec).graph
+        r = sigma_exact(g, use_pruning=use_pruning)
+        assert sigma_exact(g, use_pruning=use_pruning, max_nodes=r.nodes) == r
+        with pytest.raises(ResourceLimitError, match=f"budget of {r.nodes - 1} exceeded") as exc:
+            sigma_exact(g, use_pruning=use_pruning, max_nodes=r.nodes - 1)
+        assert exc.value.nodes == r.nodes - 1
 
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_cap_below_one_refused(self, cap):
-        with pytest.raises(ParameterError, match="at least 1"):
-            sigma_exact(make_graph(2, [(0, 1)]), max_trees=cap)
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_takes_no_step(self, budget):
+        with pytest.raises(ResourceLimitError) as exc:
+            sigma_exact(complete_graph(4), max_nodes=budget)
+        assert exc.value.nodes == 0
 
-    def test_cap_not_hit_when_pruning_finishes_first(self):
-        res = sigma_exact(complete_graph(5), max_trees=10)
-        assert res.sigma == 2
+    def test_budget_bounds_a_search_that_finds_few_trees(self):
+        # The pruned search on tri(5) reports a handful of trees in millions of steps.
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as exc:
+            sigma_exact(make(TriGrid(5)).graph, max_nodes=10)
+        assert exc.value.nodes == 10
+        assert time.perf_counter() - start < 1.0
 
     def test_pruned_and_unpruned_agree(self):
         cases = [
@@ -255,7 +273,7 @@ class TestSigmaExact:
             return
         # The unpruned walk gives every tree's stretch in the search order. The pruned
         # search reports exactly the trees that beat every earlier one, up to the floor.
-        stretches = list(_TreeSearch(g, total).trees())
+        stretches = list(_TreeSearch(g, DEFAULT_MAX_NODES).trees())
         floor = lower_bound_girth(g)
         records, best = 0, math.inf
         for s in stretches:
