@@ -15,7 +15,6 @@ import os
 import random
 import sys
 import time
-from operator import itemgetter
 from typing import Sequence
 
 from . import convex as convex_mod
@@ -220,22 +219,23 @@ def cmd_levels(args) -> int:
     if args.family == "cube":
         if args.params:
             raise ParameterError("cube takes no parameters")
-        plane, coords, row_of = embed_cube(), None, lambda label: 0
+        plane, coords, row_axis = embed_cube(), None, None
     else:
         spec = _parse_spec(args.family, args.params, seed=0)
         fam = family_of(spec)
         if fam.cells is None:
             raise ParameterError(f"no embedding for family {args.family!r}")
         built = make(spec)
-        plane, coords, row_of = built.plane, built.meta["coordinates"], itemgetter(fam.row_axis)
-    levels = face_levels(plane)
+        plane, coords, row_axis = built.plane, built.meta["coordinates"], fam.row_axis
     if args.dual_dot:
         print(overlay_dot(plane, coordinates=coords), end="")
         return 0
-    print(f"lambda_max = {levels.lambda_max}")
+    levels = face_levels(plane)
+    print(f"lambda_max = {max(levels)}")
     rows: dict[int, list[int]] = {}
     for f in plane.bounded_faces:
-        rows.setdefault(row_of(plane.labels[f]), []).append(levels.level[f])
+        row = 0 if row_axis is None else min(coords[v][row_axis] for v in plane.faces[f])
+        rows.setdefault(row, []).append(levels[f])
     for r in sorted(rows):
         print(" ".join(str(v) for v in rows[r]))
     return 0

@@ -7,7 +7,10 @@ it. A plane grid gives its cells in place of a generator: its lattice points
 in vertex order and its faces as vertex cycles. ``make`` builds the grid's
 plane graph once from those faces and returns it as ``FamilyGraph.plane``,
 with the graph read from it; the record adds the stretch bound that a face
-level certifies, which ``stretch_lower_bound`` applies to that plane.
+level certifies, which ``stretch_lower_bound`` applies to that plane. A grid's
+optimal tree is a rule on its lattice: it keeps an edge exactly when the rule
+accepts the edge's kind (horizontal, vertical or slant) and the lattice points
+of its ends, so only the cells functions know a grid's vertex numbering.
 ``make``, ``sigma_formula``, ``optimal_construction``, ``embed_grid``,
 ``stretch_lower_bound`` and the command line all look the family up in
 ``FAMILIES`` by its spec, so adding a family means one spec dataclass and one
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .convex import ConvexInstance, construct_tree, instance_to_json, validate_instance
 from .graphs import (
@@ -235,12 +238,13 @@ class Family:
 
     ``cli`` maps each command-line name of the family to its parser, called
     with that name, the parameter words and the ``--seed``. ``graph`` returns
-    the graph and its metadata; ``sigma`` and ``tree`` receive that graph and
-    are only called when it is not a tree. ``describe`` gives the spec's
+    the graph and its metadata; ``sigma`` and ``tree`` receive the
+    ``FamilyGraph`` that ``make`` built (spec, graph and metadata) and are
+    only called when its graph is not a tree. ``describe`` gives the spec's
     fields for reports. A plane grid gives ``cells`` (its lattice points and
-    labelled faces; ``make`` builds its plane graph from these faces once,
-    and its graph is that plane's) in place of ``graph``, and ``row_axis``
-    (the coordinate of a point, or of a face label, that names its row) and
+    its faces as vertex cycles; ``make`` builds its plane graph from these
+    faces once, and its graph is that plane's) in place of ``graph``, and
+    ``row_axis`` (the coordinate of a point that names its row) and
     ``level_bound`` (the stretch bound the deepest face level certifies,
     which ``stretch_lower_bound`` applies to the plane ``make`` built).
     """
@@ -248,8 +252,8 @@ class Family:
     name: str
     spec: type
     cli: Mapping[str, Parser]
-    sigma: Callable[[FamilySpec, Graph], int]
-    tree: Callable[[FamilySpec, Graph], SpanningTree]
+    sigma: Callable[[FamilyGraph], int]
+    tree: Callable[[FamilyGraph], SpanningTree]
     graph: Callable[[FamilySpec], tuple[Graph, dict]] | None = None
     describe: Callable[[FamilySpec], dict] = asdict
     cells: Callable[[FamilySpec], GridCells] | None = None
@@ -544,9 +548,10 @@ def _split_graph(spec: Split) -> tuple[Graph, dict]:
     return make_graph(k + len(spec.y_adjacency), edges), meta
 
 
-def _split_sides(spec: Split, g: Graph) -> tuple[range, range]:
-    """The clique and the independent side of the split graph ``g``."""
-    return range(spec.clique_size), range(spec.clique_size, g.n)
+def _split_sides(built: FamilyGraph) -> tuple[range, range]:
+    """The clique and the independent side of a split graph."""
+    k = built.spec.clique_size
+    return range(k), range(k, built.graph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +593,15 @@ def _convex_graph(spec: GeneralizedConvex) -> tuple[Graph, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Plane grids. Each grid is described once, by its cells; ``_grid_graph``
-# builds its plane graph from those faces once, and the graph is read from
-# that plane. Faces are vertex cycles listed in the documented order with
-# the outer face last, and each bounded face is labelled by the lattice
-# position of the unit square it lies in: (i, j) cells for the rectangular
-# grid, (x, y, "up"/"down") for the triangular grid, (x, y, "lower"/"upper")
-# for the triangulated one.
+# Plane grids. Each grid is described once, by its cells: the lattice point of
+# each vertex and the faces as vertex cycles, listed in the documented order
+# with the outer face last. ``_grid_graph`` builds its plane graph from those
+# faces once, and the graph is read from that plane. A grid's optimal tree is
+# a rule over its lattice points, which ``_lattice_tree`` applies edge by edge,
+# so only the cells functions know a grid's vertex numbering.
 
 Point = tuple[int, int]
+EdgeRule = Callable[[str, Sequence[int], Sequence[int]], bool]
 
 
 @dataclass(frozen=True)
@@ -604,19 +609,14 @@ class GridCells:
     """A plane grid: the lattice point of each vertex and the faces as vertex cycles.
 
     ``points`` holds the lattice point of each vertex, in vertex order;
-    ``cells`` each bounded face as (label, vertex cycle), in face order;
-    ``outer`` the vertex cycle of the outer face, which comes last; ``size``
-    the grid's dimensions as its graph metadata reports them.
+    ``faces`` each face as a vertex cycle, the bounded faces in face order and
+    the outer face last; ``size`` the grid's dimensions as its graph metadata
+    reports them.
     """
 
     size: dict
     points: list[Point]
-    cells: list[tuple[Hashable, tuple[int, ...]]]
-    outer: tuple[int, ...]
-
-    @property
-    def faces(self) -> list[tuple[int, ...]]:
-        return [cycle for _, cycle in self.cells] + [self.outer]
+    faces: list[tuple[int, ...]]
 
 
 def _outline(corners: Sequence[Point], vertex: Callable[[Point], int]) -> tuple[int, ...]:
@@ -635,8 +635,7 @@ def _grid_graph(fam: Family, spec: FamilySpec) -> FamilyGraph:
     row axis, vertical when they share the other one, and slant otherwise.
     """
     grid = fam.cells(spec)
-    labels = [label for label, _ in grid.cells] + ["outer"]
-    plane = make_plane_graph(len(grid.points), grid.faces, len(labels) - 1, labels)
+    plane = make_plane_graph(len(grid.points), grid.faces, len(grid.faces) - 1)
     g = plane.graph
     row, col, points = fam.row_axis, 1 - fam.row_axis, grid.points
     kinds = [
@@ -654,33 +653,103 @@ def _grid_graph(fam: Family, spec: FamilySpec) -> FamilyGraph:
     return FamilyGraph(spec, g, meta, plane)
 
 
+def _lattice_tree(built: FamilyGraph, keep: EdgeRule) -> SpanningTree:
+    """The spanning tree of the grid edges that ``keep`` accepts.
+
+    ``keep`` gets each edge's kind and the lattice points of its two ends, in
+    no particular order.
+    """
+    g, points, kinds = built.graph, built.meta["coordinates"], built.meta["edge_kinds"]
+    return spanning_tree(
+        g, [e for e, (u, v) in enumerate(g.edges) if keep(kinds[e], points[u], points[v])]
+    )
+
+
+def _columns_and_row(row: int, axis: int) -> EdgeRule:
+    """Every vertical edge, plus the horizontal edges of row ``row`` on ``axis``.
+
+    For the rectangular grid with m rows the row is r = (m-1)//2, the one
+    closest to the middle. A non-tree edge is then a horizontal edge in a row
+    i != r, and its tree path runs along its two columns to row r and across:
+    2|i - r| + 1 edges. As |i - r| <= m - 1 - r = floor(m/2), the stretch is
+    2*floor(m/2) + 1, which meets the face-level lower bound. The
+    triangulated rectangular grid with odd m reads the same rule on its own
+    row axis (see :func:`_tri_rect_rule`).
+    """
+
+    def keep(kind: str, p: Sequence[int], q: Sequence[int]) -> bool:
+        return kind == "vertical" or kind == "horizontal" and p[axis] == row
+
+    return keep
+
+
+def _tri_rect_rule(m: int) -> EdgeRule:
+    """The optimal tree of the triangulated rectangular grid with m rows (stretch m).
+
+    All vertical edges are kept, so a tree path between two columns runs
+    along them to the row that links them. For odd m the middle row
+    r = (m-1)//2 does: a horizontal edge in row y has a tree path of
+    2|y - r| + 1 <= m edges, a slant edge one of at most m - 1. For even m,
+    with h = m/2, the slant edges between rows h - 1 and h do, which
+    balances the two escape distances that an odd middle row cannot: a
+    horizontal edge in row y has a tree path of |y - h| + 1 + |y - h + 1|
+    <= m edges, a slant edge whose upper end is in row y one of
+    2|y - h| + 1 <= m - 1. Either way the stretch meets the face-level lower
+    bound lambda_max + 1 = m.
+    """
+    if m % 2:
+        return _columns_and_row((m - 1) // 2, axis=1)
+
+    def keep(kind: str, p: Sequence[int], q: Sequence[int]) -> bool:
+        return kind == "vertical" or kind == "slant" and p[1] + q[1] == m - 1
+
+    return keep
+
+
+def _tri_rule(n: int) -> EdgeRule:
+    """The optimal tree of the triangular grid T_n, routed around a deepest face.
+
+    In the dual BFS from the outer face, the upward triangle at (x, y) has
+    level min(2x, 2y, 2(n - x - y) - 2) + 1 and the downward one
+    min(2x, 2y, 2(n - x - y) - 4) + 2. The first deepest face in face order
+    sits at x = y = (n - 1) // 3: upward when n = 3k + 1, else downward. Its
+    corner on the two pinned lines is (x, y) for an upward face and
+    (x + 1, y + 1) for a downward one, which is (c, c) with c = (n + 1) // 3
+    either way.
+
+    The rule pins the full horizontal line y = c and the full vertical line
+    x = c through that corner. Below row c it keeps the columns x <= n - c,
+    and from row c up to row n - c every row; the two leftover corner
+    regions are filled, the lower right (x >= n - c) by rows and the upper
+    left (y >= n - c) by columns, so every escape route to the crossing point
+    stays short. No slant edge is kept. The stretch is ceil(2n/3) + 1, the
+    face-level bound lambda_max + 1.
+    """
+    c = (n + 1) // 3
+
+    def keep(kind: str, p: Sequence[int], q: Sequence[int]) -> bool:
+        if kind == "horizontal":  # row y, left end at x
+            y = p[1]
+            return c <= y <= n - c or y < c and min(p[0], q[0]) >= n - c
+        if kind == "vertical":  # column x, lower end at y
+            x, y = p[0], min(p[1], q[1])
+            return x == c or y < c and x <= n - c or x < c and y >= n - c
+        return False
+
+    return keep
+
+
 def _rect_cells(spec: RectGrid) -> GridCells:
     """Points (row i, column j) row-major; cells row-major."""
     m, n = spec.m, spec.n
-    cells = []
+    faces = []
     for i in range(m - 1):
         for j in range(n - 1):
             v = i * n + j  # (i, j); v + 1 is (i, j + 1) and v + n is (i + 1, j)
-            cells.append(((i, j), (v, v + 1, v + n + 1, v + n)))
+            faces.append((v, v + 1, v + n + 1, v + n))
     points = [(i, j) for i in range(m) for j in range(n)]
     outer = _outline(((0, 0), (0, n - 1), (m - 1, n - 1), (m - 1, 0)), lambda p: p[0] * n + p[1])
-    return GridCells({"rows": m, "cols": n}, points, cells, outer)
-
-
-def rect_grid_tree(spec: RectGrid, g: Graph) -> SpanningTree:
-    """All vertical edges plus the horizontal row closest to the middle.
-
-    Row (m-1)//2 keeps both escape distances at most floor(m/2), so the worst
-    fundamental cycle has length 2*floor(m/2) + 2 and the stretch meets the
-    face-level lower bound 2*floor(m/2) + 1. ``g`` is the grid of ``spec``.
-    """
-    m, n = spec.m, spec.n
-    r = (m - 1) // 2
-    pairs = []
-    for j in range(n):
-        pairs += [(i * n + j, (i + 1) * n + j) for i in range(m - 1)]
-    pairs += [(r * n + j, r * n + j + 1) for j in range(n - 1)]
-    return spanning_tree_from_pairs(g, pairs)
+    return GridCells({"rows": m, "cols": n}, points, [*faces, outer])
 
 
 def _tri_index(n: int) -> dict[tuple[int, int], int]:
@@ -692,106 +761,29 @@ def _tri_cells(spec: TriGrid) -> GridCells:
     """Points in lattice order (x, y), the upward triangle at (x, y) before the downward one."""
     n = spec.n
     index = _tri_index(n)
-    cells = []
+    faces = []
     for (x, y), v in index.items():
         if x + y <= n - 1:
             right, above = index[(x + 1, y)], index[(x, y + 1)]
-            cells.append(((x, y, "up"), (v, right, above)))
+            faces.append((v, right, above))
             if x + y <= n - 2:
-                cells.append(((x, y, "down"), (right, index[(x + 1, y + 1)], above)))
+                faces.append((right, index[(x + 1, y + 1)], above))
     outer = _outline(((0, 0), (n, 0), (0, n)), index.__getitem__)
-    return GridCells({"n": n}, list(index), cells, outer)
-
-
-def _tri_crossing(n: int) -> int:
-    """Coordinate c of the corner (c, c) of the first deepest face of T_n.
-
-    In the dual BFS from the outer face, the upward triangle at (x, y) has
-    level min(2x, 2y, 2(n - x - y) - 2) + 1 and the downward one
-    min(2x, 2y, 2(n - x - y) - 4) + 2. The first deepest face in face order
-    sits at x = y = (n - 1) // 3: upward when n = 3k + 1, else downward. Its
-    corner on the two pinned lines is (x, y) for an upward face and
-    (x + 1, y + 1) for a downward one, which is ((n + 1) // 3, (n + 1) // 3)
-    either way.
-    """
-    return (n + 1) // 3
-
-
-def tri_grid_tree(spec: TriGrid, g: Graph) -> SpanningTree:
-    """Optimal tree for the triangular grid, routed around a deepest face.
-
-    The deepest face, the first in face order, pins a full horizontal line
-    and a full vertical line through its corner (:func:`_tri_crossing`);
-    columns below the horizontal line, rows above it, and the two leftover
-    corner regions are filled so every escape route to the crossing point
-    stays short. The stretch is ceil(2n/3) + 1. ``g`` is the grid of ``spec``.
-    """
-    n = spec.n
-    index = _tri_index(n)
-    y_h = x_v = _tri_crossing(n)
-
-    pairs: set[tuple[int, int]] = set()
-
-    def add(a: tuple[int, int], b: tuple[int, int]) -> None:
-        u, v = index[a], index[b]
-        pairs.add((u, v) if u < v else (v, u))
-
-    for x in range(n - y_h):
-        add((x, y_h), (x + 1, y_h))
-    for y in range(n - x_v):
-        add((x_v, y), (x_v, y + 1))
-    for y in range(y_h):
-        for x in range(n - y_h + 1):
-            add((x, y), (x, y + 1))
-    for y in range(y_h + 1, n - x_v + 1):
-        for x in range(n - y):
-            add((x, y), (x + 1, y))
-    for y in range(y_h):
-        for x in range(n - y_h, n - y):
-            add((x, y), (x + 1, y))
-    for x in range(x_v):
-        for y in range(n - x_v, n - x):
-            add((x, y), (x, y + 1))
-    return spanning_tree_from_pairs(g, sorted(pairs))
+    return GridCells({"n": n}, list(index), [*faces, outer])
 
 
 def _tri_rect_cells(spec: TriRectGrid) -> GridCells:
     """Points (x, y) row-major; cells row-major, lower-left triangle before upper-right."""
     m, n = spec.m, spec.n
-    cells = []
+    faces = []
     for y in range(m - 1):
         for x in range(n - 1):
             v = y * n + x  # (x, y); v + 1 is (x + 1, y) and v + n is (x, y + 1)
-            cells.append(((x, y, "lower"), (v, v + 1, v + n)))
-            cells.append(((x, y, "upper"), (v + 1, v + n + 1, v + n)))
+            faces.append((v, v + 1, v + n))
+            faces.append((v + 1, v + n + 1, v + n))
     points = [(x, y) for y in range(m) for x in range(n)]
     outer = _outline(((0, 0), (n - 1, 0), (n - 1, m - 1), (0, m - 1)), lambda p: p[1] * n + p[0])
-    return GridCells({"rows": m, "cols": n}, points, cells, outer)
-
-
-def tri_rect_grid_tree(spec: TriRectGrid, g: Graph) -> SpanningTree:
-    """Optimal tree for the triangulated rectangular grid (stretch m).
-
-    All vertical edges are kept. For odd m the middle horizontal row links the
-    columns; for even m the slant just below the middle does, which balances
-    the two escape distances that an odd middle row cannot. ``g`` is the
-    grid of ``spec``.
-    """
-    m, n = spec.m, spec.n
-
-    def vid(x: int, y: int) -> int:
-        return y * n + x
-
-    pairs = []
-    for x in range(n):
-        pairs += [(vid(x, y), vid(x, y + 1)) for y in range(m - 1)]
-    if m % 2 == 1:
-        mid = (m - 1) // 2
-        pairs += [(vid(x, mid), vid(x + 1, mid)) for x in range(n - 1)]
-    else:
-        half = m // 2
-        pairs += [(vid(x, half), vid(x + 1, half - 1)) for x in range(n - 1)]
-    return spanning_tree_from_pairs(g, pairs)
+    return GridCells({"rows": m, "cols": n}, points, [*faces, outer])
 
 
 # ---------------------------------------------------------------------------
@@ -878,52 +870,56 @@ def random_glued_blocks(rng: random.Random) -> Graph:
 
 FAMILIES: tuple[Family, ...] = (
     Family("complete", Complete, {"complete": _ints(1, Complete)}, graph=_complete_graph,
-           sigma=lambda s, g: 2, tree=lambda s, g: star_tree(g, 0)),
+           sigma=lambda b: 2, tree=lambda b: star_tree(b.graph, 0)),
     Family("cycle", Cycle, {"cycle": _ints(1, Cycle)}, graph=_cycle_graph,
-           sigma=lambda s, g: s.n - 1,
-           tree=lambda s, g: spanning_tree_from_pairs(g, [(i, i + 1) for i in range(s.n - 1)])),
+           sigma=lambda b: b.spec.n - 1,
+           tree=lambda b: spanning_tree_from_pairs(b.graph, [(i, i + 1) for i in range(b.spec.n - 1)])),
     Family("wheel", Wheel, {"wheel": _ints(1, Wheel)}, graph=_wheel_graph,
-           sigma=lambda s, g: 2, tree=lambda s, g: star_tree(g, 0)),
+           sigma=lambda b: 2, tree=lambda b: star_tree(b.graph, 0)),
     Family("diamond", Diamond, {"diamond": _ints(1, Diamond)}, graph=_diamond_graph,
-           sigma=lambda s, g: 2, tree=lambda s, g: star_tree(g, 0)),
+           sigma=lambda b: 2, tree=lambda b: star_tree(b.graph, 0)),
     Family("complete-bipartite", CompleteBipartite,
            {"complete-bipartite": _ints(2, CompleteBipartite)}, graph=_bipartite_graph,
-           sigma=lambda s, g: 3, tree=lambda s, g: double_star_tree(g, 0, s.m)),
+           sigma=lambda b: 3, tree=lambda b: double_star_tree(b.graph, 0, b.spec.m)),
     Family("complete-multipartite", CompleteMultipartite,
            {"complete-multipartite": _ints(None, lambda *parts: CompleteMultipartite(parts))},
            graph=_multipartite_graph,
-           sigma=lambda s, g: 2 if len(s.parts) > 2 and min(s.parts) == 1 else 3,
-           tree=multipartite_tree),
+           sigma=lambda b: 2 if len(b.spec.parts) > 2 and min(b.spec.parts) == 1 else 3,
+           tree=lambda b: multipartite_tree(b.spec, b.graph)),
     Family("petersen", Petersen, {"petersen": _no_words(lambda rng: Petersen())},
-           graph=_petersen_graph, sigma=lambda s, g: 4, tree=lambda s, g: petersen_tree(g)),
+           graph=_petersen_graph, sigma=lambda b: 4, tree=lambda b: petersen_tree(b.graph)),
     Family("split", Split,
            {"split": _parse_split, "random-split": _no_words(random_split_spec, " (use --seed)")},
            graph=_split_graph,
-           sigma=lambda s, g: classify_split(g, *_split_sides(s, g)).sigma,
-           tree=lambda s, g: split_tree(g, *_split_sides(s, g)),
+           sigma=lambda b: classify_split(b.graph, *_split_sides(b)).sigma,
+           tree=lambda b: split_tree(b.graph, *_split_sides(b)),
            describe=lambda s: {"clique_size": s.clique_size,
                                "y_adjacency": [sorted(y) for y in s.y_adjacency]}),
     Family("chain", Chain, {"chain": _parse_chain}, graph=_chain_graph,
-           sigma=lambda s, g: 3, tree=lambda s, g: construct_tree(chain_instance(s))),
+           sigma=lambda b: 3, tree=lambda b: construct_tree(chain_instance(b.spec))),
     Family("generalized-convex", GeneralizedConvex,
            {"random-convex": _no_words(random_convex_spec, " (use --seed)")}, graph=_convex_graph,
-           sigma=lambda s, g: 3, tree=lambda s, g: construct_tree(s.instance),
+           sigma=lambda b: 3, tree=lambda b: construct_tree(b.spec.instance),
            describe=lambda s: instance_to_json(s.instance)),
     Family("rect-grid", RectGrid, {"rect-grid": _ints(2, RectGrid)}, cells=_rect_cells, row_axis=0,
-           sigma=lambda s, g: 2 * (s.m // 2) + 1, tree=rect_grid_tree,
+           sigma=lambda b: 2 * (b.spec.m // 2) + 1,
+           tree=lambda b: _lattice_tree(b, _columns_and_row((b.spec.m - 1) // 2, axis=0)),
            level_bound=lambda lam: 2 * lam + 1),
     Family("tri-grid", TriGrid, {"tri-grid": _ints(1, TriGrid)}, cells=_tri_cells, row_axis=1,
-           sigma=lambda s, g: (2 * s.n + 2) // 3 + 1, tree=tri_grid_tree,
+           sigma=lambda b: (2 * b.spec.n + 2) // 3 + 1,
+           tree=lambda b: _lattice_tree(b, _tri_rule(b.spec.n)),
            level_bound=lambda lam: lam + 1),
     Family("tri-rect-grid", TriRectGrid, {"tri-rect-grid": _ints(2, TriRectGrid)},
-           cells=_tri_rect_cells, row_axis=1,
-           sigma=lambda s, g: s.m, tree=tri_rect_grid_tree, level_bound=lambda lam: lam + 1),
+           cells=_tri_rect_cells, row_axis=1, sigma=lambda b: b.spec.m,
+           tree=lambda b: _lattice_tree(b, _tri_rect_rule(b.spec.m)),
+           level_bound=lambda lam: lam + 1),
 )
 
 
-def _sigma(fam: Family, spec: FamilySpec, g: Graph) -> int:
+def _sigma(fam: Family, built: FamilyGraph) -> int:
     """The record's formula, or the stretch of the only spanning tree of a tree."""
-    return min(g.m, 1) if g.m == g.n - 1 else fam.sigma(spec, g)
+    g = built.graph
+    return min(g.m, 1) if g.m == g.n - 1 else fam.sigma(built)
 
 
 def sigma_formula(spec: FamilySpec) -> int:
@@ -932,7 +928,7 @@ def sigma_formula(spec: FamilySpec) -> int:
     Degenerate instances whose graph is a tree give 1 (or 0 for a single
     vertex), matching the stretch of the only spanning tree.
     """
-    return _sigma(family_of(spec), spec, make(spec).graph)
+    return _sigma(family_of(spec), make(spec))
 
 
 def optimal_construction(spec: FamilySpec) -> FormulaResult:
@@ -940,9 +936,9 @@ def optimal_construction(spec: FamilySpec) -> FormulaResult:
     built = make(spec)
     g = built.graph
     fam = family_of(spec)
-    sigma = _sigma(fam, spec, g)
+    sigma = _sigma(fam, built)
     degenerate = g.m == g.n - 1
-    tree = spanning_tree(g, range(g.m)) if degenerate else fam.tree(spec, g)
+    tree = spanning_tree(g, range(g.m)) if degenerate else fam.tree(built)
     cert = stretch(g, tree)
     if cert.stretch != sigma:
         raise ValidationError(
@@ -975,8 +971,7 @@ def make(spec: FamilySpec) -> FamilyGraph:
 def embed_grid(spec: FamilySpec) -> PlaneGraph:
     """Plane embedding of a grid family, outer face listed last.
 
-    The faces, their order and their labels come from the cells of the
-    family record.
+    The faces and their order come from the cells of the family record.
     """
     fam = family_of(spec)
     if fam is None or fam.cells is None:
@@ -995,4 +990,4 @@ def stretch_lower_bound(built: FamilyGraph) -> int:
     fam = family_of(built.spec)
     if fam.level_bound is None:
         raise DomainError(f"no face-level stretch bound is established for {built.spec!r}")
-    return fam.level_bound(face_levels(built.plane).lambda_max)
+    return fam.level_bound(max(face_levels(built.plane)))

@@ -173,10 +173,6 @@ class SpanningTree:
                     queue.append(w)
         return tuple(parent), tuple(depth)
 
-    @property
-    def cotree_edges(self) -> frozenset[int]:
-        return frozenset(range(self.host.m)) - self.tree_edges
-
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [self.host.edges[i] for i in sorted(self.tree_edges)]
 

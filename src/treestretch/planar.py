@@ -3,7 +3,9 @@
 A plane graph is given by its faces alone: each face is a vertex cycle, whose
 sides join consecutive vertices (the last vertex to the first), with one face
 marked as the outer face. The graph's edges are the face sides, so this module
-is the only place that derives a graph from its faces. Validation requires
+is the only place that derives a graph from its faces. A face carries nothing
+but its cycle: a caller that needs a face's position reads it off the face's
+vertices, as ``treestretch levels`` reads a grid face's row. Validation requires
 every side to lie on exactly two distinct faces (so the dual graph is
 loop-free), the graph to be connected, and Euler's formula, which pins the
 face count.
@@ -15,8 +17,9 @@ adjacency and not as a plain ``Graph``. No layer builds dual trees or cuts:
 the tree-cotree duality the paper's grid proofs use is checked in the tests,
 on ``edge_faces`` and ``face_adjacency`` alone.
 
-Face levels are breadth-first distances from the outer face in the dual. For
-the grid families the maximum level has a closed form, and a face of level
+Face levels are breadth-first distances from the outer face in the dual, one
+per face in face order, and the deepest level is their maximum. For the grid
+families that maximum has a closed form, and a face of level
 ``lam`` forces a lower bound on the stretch of every spanning tree: any tree
 path connecting the endpoints of an edge on a deep face must escape past
 ``lam`` nested face rings. The bound is ``2*lam + 1`` for the rectangular
@@ -30,24 +33,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, ValidationError, is_connected, make_graph
 
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """A graph with a combinatorial embedding: faces as vertex cycles.
-
-    ``labels`` names each face: the grid embeddings label faces by their
-    lattice position, other embeddings by face index.
-    """
+    """A graph with a combinatorial embedding: faces as vertex cycles."""
 
     graph: Graph
     faces: tuple[tuple[int, ...], ...]
     outer_face: int
     edge_faces: tuple[tuple[int, int], ...] = field(compare=False)
-    labels: tuple[Hashable, ...] = field(default=(), compare=False)
 
     @property
     def n_faces(self) -> int:
@@ -67,25 +65,16 @@ class PlaneGraph:
         return tuple(tuple(a) for a in adj)
 
 
-def make_plane_graph(
-    n: int,
-    faces: Iterable[Iterable[int]],
-    outer_face: int,
-    labels: Iterable[Hashable] | None = None,
-) -> PlaneGraph:
+def make_plane_graph(n: int, faces: Iterable[Iterable[int]], outer_face: int) -> PlaneGraph:
     """The plane graph on vertices 0..n-1 whose edges are the sides of its faces.
 
     Each face is a vertex cycle; its sides join consecutive vertices, the last
-    and the first too. Checks: the outer face index is in range, there is one
-    label per face, every face has at least three vertices, the sides join
-    distinct vertices in range, every side lies on exactly two distinct faces,
-    the graph is connected, and the face count satisfies Euler's formula
-    f = m - n + 2. ``labels`` default to the face indices.
+    and the first too. Checks: the outer face index is in range, every face
+    has at least three vertices, the sides join distinct vertices in range,
+    every side lies on exactly two distinct faces, the graph is connected, and
+    the face count satisfies Euler's formula f = m - n + 2.
     """
     face_tuples = tuple(tuple(int(v) for v in f) for f in faces)
-    labels = tuple(range(len(face_tuples)) if labels is None else labels)
-    if len(labels) != len(face_tuples):
-        raise ValidationError(f"{len(labels)} labels for {len(face_tuples)} faces")
     if not (0 <= outer_face < len(face_tuples)):
         raise ValidationError(f"outer face index {outer_face} out of range")
     side_faces: dict[tuple[int, int], list[int]] = {}
@@ -115,27 +104,16 @@ def make_plane_graph(
             f"(expected {graph.m - graph.n + 2})"
         )
     return PlaneGraph(
-        graph=graph,
-        faces=face_tuples,
-        outer_face=outer_face,
-        edge_faces=tuple(edge_faces),
-        labels=labels,
+        graph=graph, faces=face_tuples, outer_face=outer_face, edge_faces=tuple(edge_faces)
     )
 
 
-@dataclass(frozen=True)
-class FaceLevels:
-    """Breadth-first face distances from the outer face in the dual graph."""
+def face_levels(plane: PlaneGraph) -> tuple[int, ...]:
+    """Each face's breadth-first distance from the outer face in the dual graph.
 
-    level: tuple[int, ...]
-
-    @property
-    def lambda_max(self) -> int:
-        return max(self.level)
-
-
-def face_levels(plane: PlaneGraph) -> FaceLevels:
-    """BFS over the dual from the outer face; neighbors in edge-index order."""
+    The BFS visits neighbors in edge-index order; the deepest level is the
+    maximum of the tuple.
+    """
     level = [-1] * plane.n_faces
     level[plane.outer_face] = 0
     queue = deque([plane.outer_face])
@@ -145,7 +123,7 @@ def face_levels(plane: PlaneGraph) -> FaceLevels:
             if level[other] == -1:
                 level[other] = level[f] + 1
                 queue.append(other)
-    return FaceLevels(level=tuple(level))
+    return tuple(level)
 
 
 # ---------------------------------------------------------------------------

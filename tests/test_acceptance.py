@@ -30,11 +30,8 @@ from treestretch.families import (
     petersen_tree,
     random_convex_spec,
     random_glued_blocks,
-    rect_grid_tree,
     sigma_formula,
     split_tree,
-    tri_grid_tree,
-    tri_rect_grid_tree,
 )
 from treestretch.graphs import (
     blocks,
@@ -174,7 +171,7 @@ def test_criterion_05_seeded_convex_instances_reach_three():
         g = inst.graph
         tree = construct_tree(inst)
         assert stretch(g, tree).stretch == 3
-        for e in sorted(tree.cotree_edges):
+        for e in sorted(set(range(g.m)) - tree.tree_edges):
             assert tree_distance(tree, *g.edges[e]) == 3
         assert sigma_exact(g).sigma == 3
 
@@ -182,44 +179,41 @@ def test_criterion_05_seeded_convex_instances_reach_three():
 def test_criterion_06_rect_grid_formula_and_levels():
     for m in range(2, 9):
         for n in range(m, 9):
-            spec = RectGrid(m, n)
-            g = make(spec).graph
-            assert stretch(g, rect_grid_tree(spec, g)).stretch == 2 * (m // 2) + 1
+            t = optimal_construction(RectGrid(m, n)).tree
+            assert stretch(t.host, t).stretch == 2 * (m // 2) + 1
     for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (2, 4)]:
         spec = RectGrid(m, n)
         assert sigma_exact(make(spec).graph).sigma == 2 * (m // 2) + 1
     for m in range(2, 11):
         for n in range(m, 11):
             spec = RectGrid(m, n)
-            assert face_levels(embed_grid(spec)).lambda_max == m // 2
+            assert max(face_levels(embed_grid(spec))) == m // 2
 
 
 def test_criterion_07_tri_grid_formula_and_levels():
     for n in range(1, 9):
-        spec = TriGrid(n)
-        g = make(spec).graph
-        assert stretch(g, tri_grid_tree(spec, g)).stretch == (2 * n + 2) // 3 + 1
+        t = optimal_construction(TriGrid(n)).tree
+        assert stretch(t.host, t).stretch == (2 * n + 2) // 3 + 1
     for n in range(1, 4):
         spec = TriGrid(n)
         assert sigma_exact(make(spec).graph).sigma == (2 * n + 2) // 3 + 1
     for n in range(1, 13):
         spec = TriGrid(n)
-        assert face_levels(embed_grid(spec)).lambda_max == (2 * n + 2) // 3
+        assert max(face_levels(embed_grid(spec))) == (2 * n + 2) // 3
 
 
 def test_criterion_08_tri_rect_grid_formula_and_levels():
     for m in range(2, 9):
         for n in range(m, 9):
-            spec = TriRectGrid(m, n)
-            g = make(spec).graph
-            assert stretch(g, tri_rect_grid_tree(spec, g)).stretch == m
+            t = optimal_construction(TriRectGrid(m, n)).tree
+            assert stretch(t.host, t).stretch == m
     for m, n in [(2, 2), (2, 3), (3, 3)]:
         spec = TriRectGrid(m, n)
         assert sigma_exact(make(spec).graph).sigma == m
     for m in range(2, 11):
         for n in range(m, 11):
             spec = TriRectGrid(m, n)
-            assert face_levels(embed_grid(spec)).lambda_max == m - 1
+            assert max(face_levels(embed_grid(spec))) == m - 1
 
 
 def faces_reached(plane, dual_edges, skip=None):
@@ -250,7 +244,7 @@ def test_criterion_09_cycle_cut_duality_exhaustive():
         assert count == expected
         for edge_set in trees:
             t = spanning_tree(g, edge_set)
-            cotree = t.cotree_edges
+            cotree = set(range(g.m)) - t.tree_edges
             assert len(cotree) == plane.n_faces - 1
             assert len(faces_reached(plane, cotree)) == plane.n_faces
             for e in cotree:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from treestretch.families import (
-    _tri_crossing,
     Chain,
     Complete,
     CompleteBipartite,
@@ -21,17 +22,13 @@ from treestretch.families import (
     Wheel,
     classify_split,
     double_star_tree,
-    embed_grid,
     make,
     multipartite_tree,
     optimal_construction,
     petersen_tree,
-    rect_grid_tree,
     sigma_formula,
     split_tree,
     star_tree,
-    tri_grid_tree,
-    tri_rect_grid_tree,
 )
 from treestretch.convex import validate_instance
 from treestretch.graphs import (
@@ -222,9 +219,8 @@ class TestPetersen:
 
 class TestGridTrees:
     def test_rect_middle_row(self):
-        spec = RectGrid(3, 3)
-        g = make(spec).graph
-        t = rect_grid_tree(spec, g)
+        t = optimal_construction(RectGrid(3, 3)).tree
+        g = t.host
         assert stretch(g, t).stretch == 3
         # row 1 is the horizontal spine: edges (3,4) and (4,5)
         assert g.edge_index[(3, 4)] in t.tree_edges
@@ -232,29 +228,43 @@ class TestGridTrees:
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 5), (3, 4), (4, 5), (5, 6), (6, 6)])
     def test_rect_matches_formula(self, m, n):
-        spec = RectGrid(m, n)
-        g = make(spec).graph
-        assert stretch(g, rect_grid_tree(spec, g)).stretch == 2 * (m // 2) + 1
+        t = optimal_construction(RectGrid(m, n)).tree
+        assert stretch(t.host, t).stretch == 2 * (m // 2) + 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_tri_matches_formula(self, n):
-        spec = TriGrid(n)
-        g = make(spec).graph
-        assert stretch(g, tri_grid_tree(spec, g)).stretch == (2 * n + 2) // 3 + 1
+        t = optimal_construction(TriGrid(n)).tree
+        assert stretch(t.host, t).stretch == (2 * n + 2) // 3 + 1
 
     def test_tri_crossing_is_corner_of_first_deepest_face(self):
+        # The tri rule pins row c and column c, c = (n + 1) // 3, through the one
+        # corner (x, x) of the first deepest face.
         for n in range(1, 41):
-            plane = embed_grid(TriGrid(n))
-            levels = face_levels(plane)
-            x, y, kind = plane.labels[levels.level.index(levels.lambda_max)]
-            corner = (x, y) if kind == "up" else (x + 1, y + 1)
-            assert corner == (_tri_crossing(n), _tri_crossing(n)), n
+            built = make(TriGrid(n))
+            levels = face_levels(built.plane)
+            face = built.plane.faces[levels.index(max(levels))]
+            points = [tuple(built.meta["coordinates"][v]) for v in face]
+            c = (n + 1) // 3
+            assert [p for p in points if p[0] == p[1]] == [(c, c)], n
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (5, 6)])
     def test_tri_rect_matches_formula(self, m, n):
-        spec = TriRectGrid(m, n)
-        g = make(spec).graph
-        assert stretch(g, tri_rect_grid_tree(spec, g)).stretch == m
+        t = optimal_construction(TriRectGrid(m, n)).tree
+        assert stretch(t.host, t).stretch == m
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RectGrid(2, 2), RectGrid(3, 5), RectGrid(4, 4), RectGrid(5, 7), TriRectGrid(2, 3),
+         TriRectGrid(3, 4), TriRectGrid(4, 4), TriRectGrid(5, 6), TriRectGrid(6, 7)],
+    )
+    def test_tree_edge_kinds(self, spec):
+        # Every column, and n - 1 edges linking them: a middle row, or for a
+        # triangulated grid with even m the slant edges across the middle.
+        res = optimal_construction(spec)
+        kinds = res.family_graph.meta["edge_kinds"]
+        link = "slant" if isinstance(spec, TriRectGrid) and spec.m % 2 == 0 else "horizontal"
+        counts = Counter(kinds[e] for e in res.tree.tree_edges)
+        assert counts == {"vertical": (spec.m - 1) * spec.n, link: spec.n - 1}
 
 
 class TestOptimalConstruction:

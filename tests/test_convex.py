@@ -45,7 +45,7 @@ def two_sided_extension():
 
 def assert_all_cycles_length_four(instance, tree):
     g = instance.graph
-    for e in sorted(tree.cotree_edges):
+    for e in sorted(set(range(g.m)) - tree.tree_edges):
         assert tree_distance(tree, *g.edges[e]) == 3
 
 
