@@ -11,6 +11,11 @@ level certifies, which ``stretch_lower_bound`` applies to that plane. A grid's
 optimal tree is a rule on its lattice: it keeps an edge exactly when the rule
 accepts the edge's kind (horizontal, vertical or slant) and the lattice points
 of its ends, so only the cells functions know a grid's vertex numbering.
+The dense families (complete, wheel, diamond, complete bipartite, complete
+multipartite, chain) share one tree rule read off the graph's degrees: a star
+at a vertex adjacent to all others, else a double star over an edge whose
+ends see every vertex. Every spec with parameters refuses a graph of more
+than ``MAX_EDGES`` edges, counted in closed form, before building it.
 ``make``, ``sigma_formula``, ``optimal_construction``, ``embed_grid``,
 ``stretch_lower_bound`` and the command line all look the family up in
 ``FAMILIES`` by its spec, so adding a family means one spec dataclass and one
@@ -58,7 +63,17 @@ from .graphs import (
 from .planar import PlaneGraph, face_levels, make_plane_graph
 
 # ---------------------------------------------------------------------------
-# Parameter specs; each validates its parameters
+# Parameter specs; each validates its parameters and the size of its graph
+
+# The most edges a family's graph may have. Every spec with parameters counts
+# its graph's edges in closed form and refuses a larger graph before any of it
+# is built.
+MAX_EDGES = 1_000_000
+
+
+def _check_edges(family: str, count: int) -> None:
+    if count > MAX_EDGES:
+        raise ParameterError(f"{family} would have {count} edges, above the limit of {MAX_EDGES}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +83,7 @@ class Complete:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("complete graph needs n >= 1")
+        _check_edges("complete graph", self.n * (self.n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,7 @@ class Cycle:
     def __post_init__(self):
         if self.n < 3:
             raise ParameterError("cycle needs n >= 3")
+        _check_edges("cycle", self.n)
 
 
 @dataclass(frozen=True)
@@ -88,6 +105,7 @@ class Wheel:
     def __post_init__(self):
         if self.n < 4:
             raise ParameterError("wheel needs n >= 4")
+        _check_edges("wheel", 2 * (self.n - 1))
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,7 @@ class Diamond:
     def __post_init__(self):
         if self.n < 4:
             raise ParameterError("diamond needs n >= 4")
+        _check_edges("diamond", 2 * self.n - 3)
 
 
 @dataclass(frozen=True)
@@ -109,6 +128,7 @@ class CompleteBipartite:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ParameterError("complete bipartite needs both sides nonempty")
+        _check_edges("complete bipartite graph", self.m * self.n)
 
 
 @dataclass(frozen=True)
@@ -121,6 +141,8 @@ class CompleteMultipartite:
             raise ParameterError("multipartite needs at least two parts")
         if any(p < 1 for p in self.parts):
             raise ParameterError("every part must be nonempty")
+        total = sum(self.parts)
+        _check_edges("multipartite graph", (total * total - sum(p * p for p in self.parts)) // 2)
 
 
 @dataclass(frozen=True)
@@ -146,6 +168,8 @@ class Split:
                 raise ParameterError(f"y_{i + 1} has an empty neighbor set (graph would be disconnected)")
             if any(not (0 <= x < self.clique_size) for x in s):
                 raise ParameterError(f"y_{i + 1} lists a neighbor outside the clique")
+        k = self.clique_size
+        _check_edges("split graph", k * (k - 1) // 2 + sum(map(len, self.y_adjacency)))
 
 
 @dataclass(frozen=True)
@@ -166,6 +190,7 @@ class Chain:
             raise ParameterError("neighbor-set sizes must be nondecreasing")
         if self.sizes[-1] != self.n:
             raise ParameterError("largest neighbor set must cover Y (connectivity)")
+        _check_edges("chain graph", sum(self.sizes))
 
 
 @dataclass(frozen=True)
@@ -181,6 +206,7 @@ class RectGrid:
     def __post_init__(self):
         if not (2 <= self.m <= self.n):
             raise ParameterError("rectangular grid needs 2 <= m <= n")
+        _check_edges("rectangular grid", 2 * self.m * self.n - self.m - self.n)
 
 
 @dataclass(frozen=True)
@@ -190,6 +216,7 @@ class TriGrid:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("triangular grid needs n >= 1")
+        _check_edges("triangular grid", 3 * self.n * (self.n + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -200,6 +227,7 @@ class TriRectGrid:
     def __post_init__(self):
         if not (2 <= self.m <= self.n):
             raise ParameterError("triangulated rectangular grid needs 2 <= m <= n")
+        _check_edges("triangulated rectangular grid", 3 * self.m * self.n - 2 * (self.m + self.n) + 1)
 
 
 FamilySpec = (
@@ -355,6 +383,29 @@ def double_star_tree(g: Graph, x: int, y: int) -> SpanningTree:
     return spanning_tree_from_pairs(g, pairs)
 
 
+def _hub_tree(built: FamilyGraph) -> SpanningTree:
+    """A star or double star read off the degrees of a dense family's graph.
+
+    Let x be the first vertex of largest degree. If x is adjacent to every
+    other vertex, the tree is the star at x: a non-tree edge uv has the tree
+    path u-x-v, so the stretch is 2. Otherwise the tree is the double star
+    over x and y, x's first neighbour of largest degree. When every vertex is
+    adjacent to x or y, a non-tree edge uv has a tree path through at most u's
+    centre and v's centre, so the stretch is at most 3; ``double_star_tree``
+    refuses any other pair. Complete graphs, wheels and diamonds have a vertex
+    adjacent to all others. In a complete multipartite graph x is the first
+    vertex of the earliest smallest part, a singleton part's vertex sees all
+    others, and every edge sees every vertex, as its ends lie in different
+    parts. In a chain graph the pair is the first X-vertex adjacent to all of
+    Y and y_1, which is adjacent to all of X.
+    """
+    g = built.graph
+    x = max(range(g.n), key=g.degree)
+    if g.degree(x) == g.n - 1:
+        return star_tree(g, x)
+    return double_star_tree(g, x, max(g.adjacency[x], key=g.degree))
+
+
 # ---------------------------------------------------------------------------
 # Complete graphs, cycles, wheels, diamonds
 
@@ -407,24 +458,6 @@ def _multipartite_graph(spec: CompleteMultipartite) -> tuple[Graph, dict]:
 def _bipartite_graph(spec: CompleteBipartite) -> tuple[Graph, dict]:
     g, meta = _multipartite_graph(CompleteMultipartite((spec.m, spec.n)))
     return g, {"family": "bipartite", "parts": meta["parts"]}
-
-
-def multipartite_tree(spec: CompleteMultipartite, g: Graph) -> SpanningTree:
-    """Optimal tree for a complete multipartite graph.
-
-    Parts may come in any order. The tree is rooted at the first vertex of the
-    smallest part (the earliest of equal parts). If that part is a singleton,
-    its vertex is adjacent to all others and the star gives stretch 2 (or 1
-    with two parts); otherwise a double star over it and the first vertex of
-    the next-smallest part gives stretch 3, which is optimal. ``g`` is the
-    graph of ``spec``.
-    """
-    parts = spec.parts
-    smallest, next_smallest = sorted(range(len(parts)), key=parts.__getitem__)[:2]
-    root = sum(parts[:smallest])
-    if parts[smallest] == 1:
-        return star_tree(g, root)
-    return double_star_tree(g, root, sum(parts[:next_smallest]))
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +550,18 @@ def classify_split(g: Graph, clique: Sequence[int], independent: Sequence[int]) 
 
 
 def split_tree(g: Graph, clique: Sequence[int], independent: Sequence[int]) -> SpanningTree:
-    """Optimal tree for a split graph (stretch 2 or 3 per the classification)."""
-    cls = classify_split(g, clique, independent)
-    if cls.sigma == 2:
-        x0 = cls.witness
-        pairs = [(x0, v) for v in sorted(clique) if v != x0]
-        for y in sorted(independent):
-            if g.has_edge(x0, y):
-                pairs.append((x0, y))
-            else:
-                pairs.append((min(g.adjacency[y]), y))
-        return spanning_tree_from_pairs(g, pairs)
-    x0 = min(clique)
-    pairs = [(x0, v) for v in sorted(clique) if v != x0]
-    pairs += [(min(g.adjacency[y]), y) for y in sorted(independent)]
+    """Optimal tree for a split graph (stretch 2 or 3 per the classification).
+
+    The centre x0 is the witness, or the smallest clique vertex when sigma is
+    3; it joins every other clique vertex. Each independent vertex y joins x0
+    if adjacent, else its smallest neighbour, which is in the clique as all of
+    y's neighbours are.
+    """
+    x0 = classify_split(g, clique, independent).witness
+    if x0 is None:
+        x0 = min(clique)
+    pairs = [(x0, v) for v in clique if v != x0]
+    pairs += [(x0 if g.has_edge(x0, y) else g.adjacency[y][0], y) for y in independent]
     return spanning_tree_from_pairs(g, pairs)
 
 
@@ -556,13 +587,6 @@ def _split_sides(built: FamilyGraph) -> tuple[range, range]:
 
 # ---------------------------------------------------------------------------
 # Chain graphs and generalized convex instances
-
-
-def chain_instance(spec: Chain) -> ConvexInstance:
-    """The chain graph as a host-tree instance: tau is a path, sets are prefixes."""
-    tau_edges = [(j, j + 1) for j in range(spec.n - 1)]
-    sigma = [list(range(s)) for s in spec.sizes]
-    return validate_instance(spec.n, tau_edges, sigma)
 
 
 def _chain_graph(spec: Chain) -> tuple[Graph, dict]:
@@ -870,22 +894,22 @@ def random_glued_blocks(rng: random.Random) -> Graph:
 
 FAMILIES: tuple[Family, ...] = (
     Family("complete", Complete, {"complete": _ints(1, Complete)}, graph=_complete_graph,
-           sigma=lambda b: 2, tree=lambda b: star_tree(b.graph, 0)),
+           sigma=lambda b: 2, tree=_hub_tree),
     Family("cycle", Cycle, {"cycle": _ints(1, Cycle)}, graph=_cycle_graph,
            sigma=lambda b: b.spec.n - 1,
            tree=lambda b: spanning_tree_from_pairs(b.graph, [(i, i + 1) for i in range(b.spec.n - 1)])),
     Family("wheel", Wheel, {"wheel": _ints(1, Wheel)}, graph=_wheel_graph,
-           sigma=lambda b: 2, tree=lambda b: star_tree(b.graph, 0)),
+           sigma=lambda b: 2, tree=_hub_tree),
     Family("diamond", Diamond, {"diamond": _ints(1, Diamond)}, graph=_diamond_graph,
-           sigma=lambda b: 2, tree=lambda b: star_tree(b.graph, 0)),
+           sigma=lambda b: 2, tree=_hub_tree),
     Family("complete-bipartite", CompleteBipartite,
            {"complete-bipartite": _ints(2, CompleteBipartite)}, graph=_bipartite_graph,
-           sigma=lambda b: 3, tree=lambda b: double_star_tree(b.graph, 0, b.spec.m)),
+           sigma=lambda b: 3, tree=_hub_tree),
     Family("complete-multipartite", CompleteMultipartite,
            {"complete-multipartite": _ints(None, lambda *parts: CompleteMultipartite(parts))},
            graph=_multipartite_graph,
            sigma=lambda b: 2 if len(b.spec.parts) > 2 and min(b.spec.parts) == 1 else 3,
-           tree=lambda b: multipartite_tree(b.spec, b.graph)),
+           tree=_hub_tree),
     Family("petersen", Petersen, {"petersen": _no_words(lambda rng: Petersen())},
            graph=_petersen_graph, sigma=lambda b: 4, tree=lambda b: petersen_tree(b.graph)),
     Family("split", Split,
@@ -896,7 +920,7 @@ FAMILIES: tuple[Family, ...] = (
            describe=lambda s: {"clique_size": s.clique_size,
                                "y_adjacency": [sorted(y) for y in s.y_adjacency]}),
     Family("chain", Chain, {"chain": _parse_chain}, graph=_chain_graph,
-           sigma=lambda b: 3, tree=lambda b: construct_tree(chain_instance(b.spec))),
+           sigma=lambda b: 3, tree=_hub_tree),
     Family("generalized-convex", GeneralizedConvex,
            {"random-convex": _no_words(random_convex_spec, " (use --seed)")}, graph=_convex_graph,
            sigma=lambda b: 3, tree=lambda b: construct_tree(b.spec.instance),

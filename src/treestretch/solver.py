@@ -289,14 +289,8 @@ class _TreeSearch:
             for _ in range(limit):
                 reached = []
                 for x in frontier:
-                    for j, y in forest[x]:
-                        if via[y] < 0:
-                            via[y] = j
-                            if y == b:
-                                return keep_path(k, via)
-                            reached.append(y)
                     for j, y in incident[x]:
-                        if j > i and via[y] < 0:
+                        if (j > i or in_forest[j]) and via[y] < 0:
                             via[y] = j
                             if y == b:
                                 return keep_path(k, via)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,32 @@ class TestGenerate:
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "generate")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["complete", "100000"],
+            ["cycle", "1000000000"],
+            ["wheel", "1000000"],
+            ["diamond", "1000000"],
+            ["complete-bipartite", "1001", "1000"],
+            ["complete-multipartite", "1000", "1000", "1000"],
+            ["split", "2000", "0"],
+            ["chain", "1", "1000001", "1000001"],
+            ["rect-grid", "1000", "1000"],
+            ["tri-grid", "1000"],
+            ["tri-rect-grid", "1000", "1000"],
+        ],
+        ids=lambda words: words[0],
+    )
+    def test_oversized_family_refused(self, capsys, words):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "generate", *words)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert f"above the limit of {families.MAX_EDGES}" in err
+        assert "Traceback" not in err
 
 
 class TestConstruct:

@@ -23,7 +23,6 @@ from treestretch.families import (
     classify_split,
     double_star_tree,
     make,
-    multipartite_tree,
     optimal_construction,
     petersen_tree,
     sigma_formula,
@@ -120,14 +119,14 @@ class TestStarTrees:
 class TestMultipartite:
     def test_star_when_singleton_part(self):
         spec = CompleteMultipartite((1, 2, 3))
-        g = make(spec).graph
-        t = multipartite_tree(spec, g)
+        t = optimal_construction(spec).tree
+        g = t.host
         assert stretch(g, t).stretch == 2
 
     def test_double_star_otherwise(self):
         spec = CompleteMultipartite((2, 2, 3))
-        g = make(spec).graph
-        t = multipartite_tree(spec, g)
+        t = optimal_construction(spec).tree
+        g = t.host
         assert stretch(g, t).stretch == 3
 
     @pytest.mark.parametrize(
@@ -137,12 +136,47 @@ class TestMultipartite:
     )
     def test_any_part_order(self, parts, center, other):
         spec = CompleteMultipartite(parts)
-        g = make(spec).graph
-        t = multipartite_tree(spec, g)
+        t = optimal_construction(spec).tree
+        g = t.host
         assert stretch(g, t).stretch == sigma_formula(spec) == (2 if other is None else 3)
         assert t.adjacency[center] == tuple(v for v in range(g.n) if g.has_edge(center, v))
         if other is not None:
             assert center in t.adjacency[other]
+
+
+class TestHubTree:
+    """The dense families' trees: a star or a double star read off the degrees."""
+
+    @pytest.mark.parametrize(
+        "spec,centres",
+        [
+            (Complete(5), (0,)),
+            (Wheel(4), (0,)),
+            (Wheel(7), (0,)),
+            (Diamond(6), (0,)),
+            (CompleteBipartite(3, 3), (0, 3)),
+            (CompleteBipartite(4, 2), (4, 0)),
+            (CompleteMultipartite((3, 1, 2)), (3,)),
+            (CompleteMultipartite((3, 2, 2)), (3, 5)),
+            (Chain(3, 4, (2, 4, 4)), (1, 3)),
+            (Chain(4, 2, (1, 2, 2, 2)), (4, 1)),
+        ],
+        ids=repr,
+    )
+    def test_centres(self, spec, centres):
+        """A star at the one centre, else each vertex on the first centre it sees."""
+        t = optimal_construction(spec).tree
+        g = t.host
+        assert stretch(g, t).stretch == sigma_formula(spec)
+        x, *rest = centres
+        if not rest:
+            assert len(t.adjacency[x]) == g.n - 1
+            return
+        (y,) = rest
+        assert y in t.adjacency[x]
+        for v in range(g.n):
+            if v not in centres:
+                assert t.adjacency[v] == ((x,) if g.has_edge(v, x) else (y,))
 
 
 class TestSplitClassification:

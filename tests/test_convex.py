@@ -17,7 +17,7 @@ from treestretch.convex import (
     root_candidates,
     validate_instance,
 )
-from treestretch.families import Chain, chain_instance, random_convex_spec
+from treestretch.families import random_convex_spec
 from treestretch.graphs import (
     ParameterError,
     ValidationError,
@@ -116,7 +116,7 @@ class TestRootSelection:
         assert root_candidates(inst) == [0, 2]
 
     def test_non_maximal_leaf_set_skipped(self):
-        inst = chain_instance(Chain(2, 3, (2, 3)))
+        inst = validate_instance(3, [(0, 1), (1, 2)], [[0, 1], [0, 1, 2]])
         assert root_candidates(inst) == [1]
 
 
@@ -131,7 +131,7 @@ class TestLevelSets:
         assert structure.selected == [0, 2]
 
     def test_chain_all_discarded_into_root(self):
-        inst = chain_instance(Chain(2, 3, (2, 3)))
+        inst = validate_instance(3, [(0, 1), (1, 2)], [[0, 1], [0, 1, 2]])
         structure = level_sets(inst, 1)
         assert structure.levels == ((1,),)
         assert structure.discarded == {0: (1, 1)}
@@ -155,7 +155,7 @@ class TestConstruction:
         assert sigma_exact(inst.graph).sigma == 3
 
     def test_chain_tree(self):
-        inst = chain_instance(Chain(3, 4, (2, 3, 4)))
+        inst = validate_instance(4, [(0, 1), (1, 2), (2, 3)], [[0, 1], [0, 1, 2], [0, 1, 2, 3]])
         tree = construct_tree(inst)
         assert stretch(inst.graph, tree).stretch == 3
         assert_all_cycles_length_four(inst, tree)

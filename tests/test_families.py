@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from treestretch import families
 from treestretch.families import (
     Chain,
     Complete,
@@ -20,7 +22,6 @@ from treestretch.families import (
     TriGrid,
     TriRectGrid,
     Wheel,
-    chain_instance,
     make,
     random_convex_spec,
     random_glued_blocks,
@@ -122,15 +123,6 @@ class TestChainFamily:
         fg = make(Chain(2, 3, (2, 3)))
         assert fg.graph.n == 5 and fg.graph.m == 5
 
-    def test_instance_prefix_sets(self):
-        inst = chain_instance(Chain(3, 4, (2, 3, 4)))
-        assert inst.sigma == (
-            frozenset({0, 1}),
-            frozenset({0, 1, 2}),
-            frozenset({0, 1, 2, 3}),
-        )
-        assert inst.tau_edges == ((0, 1), (1, 2), (2, 3))
-
     def test_validation(self):
         with pytest.raises(ParameterError, match="one neighbor-set size"):
             Chain(2, 3, (3,))
@@ -222,6 +214,43 @@ class TestGrids:
     def test_edge_kinds_align_with_edges(self):
         for fg in (make(RectGrid(2, 3)), make(TriGrid(2)), make(TriRectGrid(2, 2))):
             assert len(fg.meta["edge_kinds"]) == fg.graph.m
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Complete(1),
+            Complete(7),
+            Cycle(5),
+            Wheel(4),
+            Wheel(9),
+            Diamond(4),
+            Diamond(8),
+            CompleteBipartite(1, 4),
+            CompleteBipartite(3, 5),
+            CompleteMultipartite((1, 3, 2, 4)),
+            Split(1, ()),
+            Split(4, (frozenset({0, 1}), frozenset({3}), frozenset({0, 1, 2, 3}))),
+            Chain(1, 1, (1,)),
+            Chain(3, 4, (1, 3, 4)),
+            RectGrid(2, 2),
+            RectGrid(3, 5),
+            TriGrid(1),
+            TriGrid(5),
+            TriRectGrid(2, 2),
+            TriRectGrid(4, 6),
+        ],
+        ids=repr,
+    )
+    def test_closed_form_edge_count(self, spec, monkeypatch):
+        """A spec is refused exactly when its graph has more edges than the limit."""
+        m = make(spec).graph.m
+        monkeypatch.setattr(families, "MAX_EDGES", m)
+        replace(spec)
+        monkeypatch.setattr(families, "MAX_EDGES", m - 1)
+        with pytest.raises(ParameterError, match=f"would have {m} edges, above the limit of {m - 1}"):
+            replace(spec)
 
 
 class TestRandomHelpers:
